@@ -6,17 +6,16 @@ scalable system (see ``docs/ARCHITECTURE.md``, "Cluster topology"):
 * :mod:`repro.cluster.partition` — hash-partition a built container into
   K subject-routed primary shards + object-routed replicas, with a
   signed ``manifest.json``;
-* :mod:`repro.cluster.rpc` — the length-prefixed JSON RPC every cluster
-  process (and the pre-fork pool's writer channel) speaks;
+* :mod:`repro.cluster.rpc` — the unary + streaming RPC every cluster
+  process speaks, over the :mod:`repro.net` framing;
 * :mod:`repro.cluster.shard` — one shard's serve stack behind that RPC
   (``repro shard``);
 * :mod:`repro.cluster.client` / :mod:`repro.cluster.coordinator` — the
   scatter-gather coordinator and its HTTP front (``repro coordinator``).
 
-This package root stays import-light (framing + partitioning only):
-:mod:`repro.service.pool` imports the RPC framing from here, so pulling
-the coordinator stack in eagerly would cycle back into the service
-package.  Import the heavier submodules explicitly.
+This package root stays import-light (framing + partitioning only), so
+importing it does not pull in the whole serving stack.  Import the
+heavier submodules explicitly.
 """
 
 from repro.cluster.partition import (

@@ -1,12 +1,11 @@
-"""Length-prefixed JSON RPC shared by the worker pool and the cluster.
+"""Length-prefixed JSON RPC between the cluster's processes.
 
-One framing, three users: the pre-fork pool's worker↔writer channel
-(:mod:`repro.service.pool` imports the helpers from here), the shard
-servers (:mod:`repro.cluster.shard`) and the coordinator's shard clients
-(:mod:`repro.cluster.client`).  A frame is a 4-byte little-endian payload
-length followed by that many bytes of UTF-8 JSON::
-
-    <uint32 LE length> <length bytes of JSON>
+The shard servers (:mod:`repro.cluster.shard`) and the coordinator's
+shard clients (:mod:`repro.cluster.client`) talk over TCP in the
+:mod:`repro.net` framing — the same frames the pre-fork pool's
+worker↔writer channel uses: a 4-byte little-endian payload length
+followed by that many bytes of UTF-8 JSON.  The framing helpers are
+re-exported here for existing importers.
 
 The value-level vocabulary inside the JSON is :mod:`repro.wire` — the
 same codec the HTTP endpoints speak — so the stack has exactly one
@@ -48,18 +47,16 @@ import json
 import random
 import socket
 import socketserver
-import struct
 import threading
 import time
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional
 
 from repro import wire
 from repro.errors import ReproError, ShardUnavailableError
-
-#: Frame header: payload length, uint32 little-endian.
-FRAME = struct.Struct("<I")
-#: A frame far larger than this is a protocol bug, not a request.
-MAX_FRAME_BYTES = 64 * 1024 * 1024
+from repro.net import read_message, send_frame, send_message
+# The rest of the framing is re-exported for existing importers.
+from repro.net import FRAME, MAX_FRAME_BYTES  # noqa: F401
+from repro.net import read_frame, recv_exactly  # noqa: F401
 
 #: Rows per streaming chunk frame — large enough to amortise framing,
 #: small enough that limit/offset pages stop the producer promptly.
@@ -85,52 +82,6 @@ def backoff_delay(attempt: int, base: float, cap: float = MAX_BACKOFF) -> float:
     """
     bound = min(float(cap), float(base) * (2 ** (max(attempt, 1) - 1)))
     return random.uniform(0.0, bound)
-
-
-def recv_exactly(sock: socket.socket, count: int,
-                 at_start: bool = False) -> Optional[bytes]:
-    """``count`` bytes from ``sock``; EOF mid-read is a protocol error.
-
-    ``at_start=True`` makes an immediate EOF a clean ``None`` (the peer
-    hung up between frames) instead of an error.
-    """
-    chunks = []
-    remaining = count
-    while remaining:
-        chunk = sock.recv(remaining)
-        if not chunk:
-            if at_start and remaining == count:
-                return None
-            raise ConnectionError("rpc frame truncated")
-        chunks.append(chunk)
-        remaining -= len(chunk)
-    return b"".join(chunks)
-
-
-def read_frame(sock: socket.socket) -> Optional[bytes]:
-    """One length-prefixed frame, or ``None`` on a clean EOF."""
-    header = recv_exactly(sock, FRAME.size, at_start=True)
-    if header is None:
-        return None
-    (length,) = FRAME.unpack(header)
-    if length > MAX_FRAME_BYTES:
-        raise ConnectionError(f"rpc frame of {length} bytes")
-    return recv_exactly(sock, length)
-
-
-def send_frame(sock: socket.socket, payload: bytes) -> None:
-    sock.sendall(FRAME.pack(len(payload)) + payload)
-
-
-def send_message(sock: socket.socket, message: Dict[str, Any]) -> None:
-    send_frame(sock, json.dumps(message).encode("utf-8"))
-
-
-def read_message(sock: socket.socket) -> Optional[Dict[str, Any]]:
-    frame = read_frame(sock)
-    if frame is None:
-        return None
-    return json.loads(frame.decode("utf-8"))
 
 
 # --------------------------------------------------------------------------- #

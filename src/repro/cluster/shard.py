@@ -6,14 +6,12 @@ served by R processes over the same files — ``replica_index`` selects
 the process's role:
 
 **Leader** (``replica_index == 0``)
-    two writable :class:`~repro.service.engine.QueryService` instances,
-    each with its own shard-local WAL, plan/result caches, compaction
-    trigger and latency statistics.  Every write is applied WAL-first
-    and the shard's epoch documents are published *before* the
-    acknowledgement, mirroring the pool writer's
-    no-lost-acknowledged-writes contract.  The leader publishes one
-    epoch document per side (``<container>.epoch``) — that is the WAL
-    shipping channel to the followers.
+    one :class:`~repro.service.writer.Writer` per container side — the
+    same writer the pre-fork pool runs — each with its own shard-local
+    WAL, plan/result caches, compaction trigger and latency statistics.
+    Every write is applied WAL-first and the side's epoch document
+    (``<container>.epoch``) is published *before* the acknowledgement;
+    that document is the WAL shipping channel to the followers.
 
 **Follower** (``replica_index > 0``)
     read-only services over :class:`~repro.dynamic.follower.EpochFollower`
@@ -26,9 +24,9 @@ the process's role:
     Writes and compactions answer :class:`~repro.errors.NotLeaderError`.
     The ``promote`` op turns a follower into the leader: it reopens the
     writable stack over the shared container + WAL (replaying every
-    acknowledged record) and resumes the published epoch history, so a
-    coordinator that confirmed the old leader dead can fail writes over
-    without losing an acknowledged triple.
+    acknowledged record) under a new generation, so a coordinator that
+    confirmed the old leader dead can fail writes over without losing an
+    acknowledged triple.
 
 The :mod:`repro.cluster.rpc` surface the coordinator talks to:
 
@@ -50,26 +48,22 @@ The :mod:`repro.cluster.rpc` surface the coordinator talks to:
     idempotent (set semantics), so a coordinator retry after an
     ambiguous failure is safe.
 
-Epoch publication follows :mod:`repro.dynamic.follower`: one atomically
+Epoch publication is :mod:`repro.service.writer`'s: one atomically
 replaced JSON document per container, ``generation`` bumped when a
-persisted compaction re-points the container.
+persisted compaction re-points the container and on every leader open.
 """
 
 from __future__ import annotations
 
 import os
 import threading
-from typing import Any, Dict, Iterator, Optional
+from typing import Any, Dict, Iterator, List, Optional
 
 from repro.cluster import rpc
-from repro.dynamic.follower import (
-    EpochFollower,
-    combined_epoch,
-    read_epoch_document,
-    write_epoch_document,
-)
+from repro.dynamic.follower import EpochFollower
 from repro.errors import ClusterError, NotLeaderError
 from repro.service.engine import QueryService
+from repro.service.writer import Writer
 from repro import wire
 
 
@@ -98,21 +92,15 @@ class ShardServer:
         self._options = dict(service_options or {})
         self._compaction_ratio = compaction_ratio
         self._mmap = mmap
-        self.wal_path = self.primary_path + ".wal"
-        self.epoch_path = self.primary_path + ".epoch"
-        self.replica_wal_path = (self.replica_path + ".wal"
-                                 if self.replica_path else None)
-        self.replica_epoch_path = (self.replica_path + ".epoch"
-                                   if self.replica_path else None)
         self.primary: QueryService
         self.replica: Optional[QueryService] = None
-        self._primary_follower: Optional[EpochFollower] = None
-        self._replica_follower: Optional[EpochFollower] = None
+        #: Leader: one Writer per side, keyed "primary" / "replica".
+        self._writers: Dict[str, Writer] = {}
+        #: Follower: the epoch-following views behind each side's service.
+        self._followers: List[EpochFollower] = []
         # One lock serialises apply + publish + ack across both sides
         # (and, on a follower, a promotion against everything else).
         self._write_lock = threading.Lock()
-        self._generation = 0
-        self._replica_generation = 0
         if self.is_leader:
             self._open_leader()
         else:
@@ -130,8 +118,6 @@ class ShardServer:
         self.host = host
         self.port = self._server.port
         self._thread: Optional[threading.Thread] = None
-        if self.is_leader:
-            self._publish()
 
     @property
     def is_leader(self) -> bool:
@@ -145,74 +131,43 @@ class ShardServer:
     # Role stacks.
     # ------------------------------------------------------------------ #
 
-    def _open_leader(self) -> None:
-        """Open the writable stack: WAL-replaying services on both sides,
-        resuming the published generation history so combined epochs stay
-        monotonic across restarts and promotions."""
-        self.primary = QueryService.from_file(
-            self.primary_path, writable=True, wal_path=self.wal_path,
-            compaction_ratio=self._compaction_ratio, mmap=self._mmap,
-            **self._options)
+    def _containers(self) -> Dict[str, str]:
+        """Container path per side this shard serves."""
+        sides = {"primary": self.primary_path}
         if self.replica_path is not None:
-            self.replica = QueryService.from_file(
-                self.replica_path, writable=True,
-                wal_path=self.replica_wal_path,
-                compaction_ratio=self._compaction_ratio, mmap=self._mmap,
-                **self._options)
-        self._primary_follower = None
-        self._replica_follower = None
-        self._generation = self._resume_generation(
-            self.epoch_path, lambda: int(
-                self._delta(self.primary).get("epoch", 0)))
-        if self.replica_path is not None:
-            self._replica_generation = self._resume_generation(
-                self.replica_epoch_path, lambda: int(
-                    self._delta(self.replica).get("epoch", 0)))
+            sides["replica"] = self.replica_path
+        return sides
 
-    def _resume_generation(self, epoch_path, current_epoch) -> int:
-        previous = read_epoch_document(epoch_path)
-        if previous is None:
-            return 0
-        # Resume the published history: the WAL replay reproduced the
-        # acknowledged state, so epochs continue monotonically.
-        generation = int(previous.get("generation", 0))
-        published = combined_epoch(generation, int(previous.get("epoch", 0)))
-        if combined_epoch(generation, current_epoch()) < published:
-            # A clean shutdown folded the WAL into the base container,
-            # resetting the delta epoch to zero; a new generation keeps
-            # the shard's combined epoch above everything it ever
-            # acknowledged, so follower caches stay invalidated.
-            generation += 1
-        return generation
+    def _open_leader(self) -> None:
+        """Open one Writer per side: WAL-replaying services that publish
+        a new generation, so combined epochs stay monotonic across
+        restarts and promotions."""
+        self._writers = {
+            side: Writer(path, path + ".wal", path + ".epoch",
+                         compaction_ratio=self._compaction_ratio,
+                         mmap=self._mmap, **self._options)
+            for side, path in self._containers().items()}
+        self._followers = []
+        self.primary = self._writers["primary"].service
+        if "replica" in self._writers:
+            self.replica = self._writers["replica"].service
 
     def _open_follower(self) -> None:
         """Open read-only services over epoch-following views of the
         leader's containers (the WAL-shipping consumer side)."""
-        self._primary_follower = EpochFollower(
-            self.primary_path, self.epoch_path, mmap=self._mmap)
-        self.primary = QueryService(
-            self._primary_follower,
-            dictionary=self._primary_follower.dictionary,
-            cardinalities=self._primary_follower.planner_stats,
-            meta=self._primary_follower.meta,
-            writable=False, **self._options)
-        if self.replica_path is not None:
-            self._replica_follower = EpochFollower(
-                self.replica_path, self.replica_epoch_path, mmap=self._mmap)
-            self.replica = QueryService(
-                self._replica_follower,
-                dictionary=self._replica_follower.dictionary,
-                cardinalities=self._replica_follower.planner_stats,
-                meta=self._replica_follower.meta,
-                writable=False, **self._options)
+        services = {side: QueryService.follow(path, path + ".epoch",
+                                              mmap=self._mmap,
+                                              **self._options)
+                    for side, path in self._containers().items()}
+        self.primary = services["primary"]
+        self.replica = services.get("replica")
+        self._followers = [service.index for service in services.values()]
 
     def _refresh(self) -> None:
         """Catch a follower up with the leader's published epoch documents
         (one ``stat`` each when nothing changed); no-op on the leader."""
-        if self._primary_follower is not None:
-            self._primary_follower.refresh()
-        if self._replica_follower is not None:
-            self._replica_follower.refresh()
+        for follower in self._followers:
+            follower.refresh()
 
     # ------------------------------------------------------------------ #
     # Lifecycle.
@@ -236,55 +191,13 @@ class ShardServer:
             self._thread.join(timeout=5.0)
             self._thread = None
         for service in (self.primary, self.replica):
-            closer = getattr(service, "close", None)
-            if closer is not None:
-                closer()
-
-    # ------------------------------------------------------------------ #
-    # Epochs.
-    # ------------------------------------------------------------------ #
-
-    def _delta(self, service: Optional[QueryService]) -> Dict[str, Any]:
-        if service is None:
-            return {}
-        stats = getattr(service.index, "delta_statistics", None)
-        return dict(stats()) if stats is not None else {}
+            if service is not None:
+                service.close()
 
     def combined_epoch(self) -> int:
-        if self._primary_follower is not None:
-            return int(self._primary_follower.combined_epoch)
-        return combined_epoch(
-            self._generation, int(self._delta(self.primary).get("epoch", 0)))
-
-    def _publish(self) -> None:
-        primary = self._delta(self.primary)
-        replica = self._delta(self.replica)
-        write_epoch_document(self.epoch_path, {
-            "generation": self._generation,
-            "epoch": int(primary.get("epoch", 0)),
-            "wal": self.wal_path,
-            "wal_records": int(primary.get("wal_records", 0)),
-            "replica_wal_records": int(replica.get("wal_records", 0)),
-            "shard": self.shard_id,
-            "pid": os.getpid(),
-        })
-        if self.replica_epoch_path is not None:
-            write_epoch_document(self.replica_epoch_path, {
-                "generation": self._replica_generation,
-                "epoch": int(replica.get("epoch", 0)),
-                "wal": self.replica_wal_path,
-                "wal_records": int(replica.get("wal_records", 0)),
-                "shard": self.shard_id,
-                "pid": os.getpid(),
-            })
-
-    def _note_compaction(self) -> None:
-        if getattr(self.primary, "_persist_error", None) is None:
-            self._generation += 1
-
-    def _note_replica_compaction(self) -> None:
-        if getattr(self.replica, "_persist_error", None) is None:
-            self._replica_generation += 1
+        if self._writers:
+            return self._writers["primary"].combined_epoch
+        return int(self.primary.index.combined_epoch)
 
     # ------------------------------------------------------------------ #
     # Read ops.
@@ -305,22 +218,23 @@ class ShardServer:
             "num_triples": int(self.primary.index.num_triples),
             "has_replica": self.replica is not None,
         }
-        if self._primary_follower is not None:
-            report["generation"] = self._primary_follower.generation
-            report["epoch"] = self._primary_follower.epoch
-            # Published records this follower has not applied yet; the
-            # publish-before-ack contract plus refresh-per-read keeps it
-            # at zero on every served request.
-            report["wal_lag"] = int(self._primary_follower.wal_lag())
-            report["wal_records"] = 0
-        else:
-            primary = self._delta(self.primary)
-            report["generation"] = self._generation
-            report["epoch"] = int(primary.get("epoch", 0))
+        if self._writers:
+            published = self._writers["primary"].published
+            report["generation"] = published["generation"]
+            report["epoch"] = published["epoch"]
             # The leader applies its own writes synchronously, so its
             # view never trails the WAL: lag is by construction zero.
             report["wal_lag"] = 0
-            report["wal_records"] = int(primary.get("wal_records", 0))
+            report["wal_records"] = published["wal_records"]
+        else:
+            follower = self.primary.index
+            report["generation"] = follower.generation
+            report["epoch"] = follower.epoch
+            # Published records this follower has not applied yet; the
+            # publish-before-ack contract plus refresh-per-read keeps it
+            # at zero on every served request.
+            report["wal_lag"] = int(follower.wal_lag())
+            report["wal_records"] = 0
         return report
 
     def _op_stats(self, message: dict) -> dict:
@@ -410,56 +324,29 @@ class ShardServer:
                 f"read-only follower; send {op!r} to the leader (or promote "
                 f"this replica once the leader is confirmed dead)")
 
-    @staticmethod
-    def _portion(message: dict, side: str) -> Dict[str, list]:
-        portion = message.get(side) or {}
-        return {
-            "insert": [tuple(t) for t in portion.get("insert", [])],
-            "delete": [tuple(t) for t in portion.get("delete", [])],
-        }
-
     def _op_update(self, message: dict) -> dict:
         self._require_leader("update")
-        primary = self._portion(message, "primary")
-        replica = self._portion(message, "replica")
         with self._write_lock:
             reply: Dict[str, Any] = {"shard": self.shard_id}
-            if primary["insert"] or primary["delete"]:
-                result = self.primary.update(inserts=primary["insert"],
-                                             deletes=primary["delete"])
-                reply["primary"] = result.to_json()
-                if (result.compaction is not None
-                        and result.compaction.compacted):
-                    self._note_compaction()
-            if self.replica is not None and (replica["insert"]
-                                             or replica["delete"]):
-                replica_result = self.replica.update(
-                    inserts=replica["insert"], deletes=replica["delete"])
-                reply["replica"] = replica_result.to_json()
-                if (replica_result.compaction is not None
-                        and replica_result.compaction.compacted):
-                    self._note_replica_compaction()
-            # Publish before acknowledging: once the coordinator sees the
-            # reply the write is WAL-durable and epoch-visible — on every
-            # follower of this shard, not just here.
-            self._publish()
+            for side, writer in self._writers.items():
+                portion = message.get(side) or {}
+                inserts = [tuple(t) for t in portion.get("insert", [])]
+                deletes = [tuple(t) for t in portion.get("delete", [])]
+                if inserts or deletes:
+                    # The Writer publishes before returning: once the
+                    # coordinator sees the reply the write is WAL-durable
+                    # and epoch-visible on every follower of this shard.
+                    reply[side] = writer.update(inserts=inserts,
+                                                deletes=deletes).to_json()
             reply["combined_epoch"] = self.combined_epoch()
         return reply
 
     def _op_compact(self, message: dict) -> dict:
         self._require_leader("compact")
         with self._write_lock:
-            result = self.primary.compact()
-            reply: Dict[str, Any] = {"shard": self.shard_id,
-                                     "primary": result.to_json()}
-            if self.replica is not None:
-                replica_result = self.replica.compact()
-                reply["replica"] = replica_result.to_json()
-                if replica_result.compacted:
-                    self._note_replica_compaction()
-            if result.compacted:
-                self._note_compaction()
-            self._publish()
+            reply: Dict[str, Any] = {"shard": self.shard_id}
+            for side, writer in self._writers.items():
+                reply[side] = writer.compact().to_json()
             reply["combined_epoch"] = self.combined_epoch()
         return reply
 
@@ -468,16 +355,15 @@ class ShardServer:
 
         Safe when the old leader is dead: the writable stack reopens over
         the shared container + WAL, replaying every acknowledged record,
-        and resumes the published generation history.  The caller (the
-        coordinator's write failover) only promotes after the configured
-        leader failed its whole retry budget.  The old follower views are
-        simply dropped — in-flight readers keep their pinned snapshots.
+        and publishes a new generation.  The caller (the coordinator's
+        write failover) only promotes after the configured leader failed
+        its whole retry budget.  The old follower views are simply
+        dropped — in-flight readers keep their pinned snapshots.
         """
         with self._write_lock:
             if not self.is_leader:
                 self._open_leader()
                 self.replica_index = 0
-                self._publish()
                 promoted = True
             else:
                 promoted = False

@@ -303,6 +303,22 @@ class QueryService:
         service._source_path = path
         return service
 
+    @classmethod
+    def follow(cls, index_path, epoch_path, mmap: bool = True,
+               **options) -> "QueryService":
+        """A read-only service over an :class:`~repro.dynamic.EpochFollower`
+        that tails the epochs a :class:`~repro.service.writer.Writer`
+        publishes at ``epoch_path`` for the container at ``index_path``.
+
+        The follower is the service's :attr:`index`; call its ``refresh``
+        at the start of every request to see each acknowledged write.
+        """
+        from repro.dynamic.follower import EpochFollower
+        follower = EpochFollower(index_path, epoch_path, mmap=mmap)
+        return cls(follower, dictionary=follower.dictionary,
+                   cardinalities=follower.planner_stats, meta=follower.meta,
+                   writable=False, **options)
+
     # ------------------------------------------------------------------ #
     # Introspection.
     # ------------------------------------------------------------------ #
@@ -310,6 +326,13 @@ class QueryService:
     @property
     def index(self) -> TripleIndex:
         return self._index
+
+    @property
+    def persist_error(self) -> Optional[str]:
+        """Why the last compaction failed to persist (``None`` = it did,
+        or there was none): the container and WAL then still hold the
+        pre-compaction history."""
+        return self._persist_error
 
     def _snapshot(self) -> TripleIndex:
         """The view one request executes against (pinned for its duration)."""

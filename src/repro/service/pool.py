@@ -23,15 +23,16 @@ Process model::
   same port for a blue-green handover.
 * **Writes.**  Workers never mutate anything.  ``POST /update`` and
   ``POST /compact`` are framed as JSON over a unix domain socket to the
-  single writer process, which applies them through the ordinary
-  :class:`~repro.service.engine.QueryService` write path (WAL first, then
-  visible), *publishes* the new epoch, and only then acknowledges — so an
-  acknowledged write is durable and observable from every worker.
+  single writer process, whose :class:`~repro.service.writer.Writer`
+  applies them (WAL first, then visible), *publishes* the new epoch, and
+  only then lets the process acknowledge — so an acknowledged write is
+  durable and observable from every worker.
 * **Epochs.**  Publication is a tiny atomically-replaced JSON document
-  (see :mod:`repro.dynamic.follower`).  Workers run an
-  :class:`~repro.dynamic.EpochFollower` and refresh at the start of every
-  request: one ``stat`` when nothing changed, a WAL tail replay when
-  something did, a container re-map when a compaction landed.
+  (see :mod:`repro.dynamic.follower`).  Workers serve through
+  :meth:`QueryService.follow <repro.service.engine.QueryService.follow>`
+  and refresh at the start of every request: one ``stat`` when nothing
+  changed, a WAL tail replay when something did, a container re-map when
+  a compaction landed or the writer restarted.
 * **Supervision.**  The master reaps children; a crashed worker (or
   writer) is respawned into the same metrics slot, a SIGTERM drains:
   workers stop accepting, finish their in-flight requests, then the
@@ -54,18 +55,8 @@ import time
 import traceback
 from typing import Dict, Optional, Tuple
 
-from repro.cluster.rpc import (
-    FRAME as _FRAME,
-    MAX_FRAME_BYTES,
-    read_frame as _read_frame,
-    recv_exactly as _recv_exactly,
-    send_frame as _send_frame,
-)
-from repro.dynamic.follower import (
-    EpochFollower,
-    read_epoch_document,
-    write_epoch_document,
-)
+from repro.dynamic.follower import read_epoch_document
+from repro.net import read_frame, send_frame
 from repro.obs import get_logger
 from repro.service.engine import QueryService
 from repro.service.http import (
@@ -76,8 +67,9 @@ from repro.service.http import (
     status_for_error,
 )
 from repro.service.metrics import MetricsBlock
+from repro.service.writer import Writer
 
-__all__ = ["ServerPool", "WriterClient", "MAX_FRAME_BYTES"]
+__all__ = ["ServerPool", "WriterClient"]
 
 #: How long a worker waits for (re)connecting to the writer socket.
 _WRITER_CONNECT_TIMEOUT = 5.0
@@ -124,8 +116,8 @@ class WriterClient:
                 try:
                     if self._sock is None:
                         self._sock = self._connect()
-                    _send_frame(self._sock, payload)
-                    reply = _read_frame(self._sock)
+                    send_frame(self._sock, payload)
+                    reply = read_frame(self._sock)
                     if reply is None:
                         raise ConnectionError("writer closed the connection")
                     response = json.loads(reply.decode("utf-8"))
@@ -145,32 +137,21 @@ class WriterClient:
 
 
 class _WriterProcess:
-    """The single mutating process: applies writes, publishes epochs."""
+    """The single mutating process: a :class:`Writer` behind a unix socket."""
 
     def __init__(self, pool: "ServerPool"):
         self._pool = pool
         self._stop = threading.Event()
-        self._lock = threading.Lock()  # serialises apply + publish + ack
-        self._service: Optional[QueryService] = None
-        self._generation = 0
-        self._epoch_offset = 0
+        self._writer: Optional[Writer] = None
 
     def run(self) -> int:
         pool = self._pool
         signal.signal(signal.SIGTERM, lambda *_: self._stop.set())
         signal.signal(signal.SIGINT, signal.SIG_IGN)
-        self._service = QueryService.from_file(
-            pool.index_path, writable=True, wal_path=pool.wal_path,
+        self._writer = Writer(
+            pool.index_path, pool.wal_path, pool.epoch_path,
             compaction_ratio=pool.compaction_ratio, mmap=pool.mmap,
             **pool.service_options)
-        previous = read_epoch_document(pool.epoch_path)
-        if previous is not None:
-            # Continue the published history instead of restarting it: the
-            # replayed index is byte-for-byte the acknowledged state, so
-            # generation is unchanged and epochs resume monotonically.
-            self._generation = int(previous.get("generation", 0))
-            self._epoch_offset = int(previous.get("epoch", 0))
-        self._publish()
         server = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
         try:
             os.unlink(pool.writer_socket_path)
@@ -198,16 +179,14 @@ class _WriterProcess:
                 thread.join(timeout=2.0)
             # Flush-on-shutdown: the WAL handle is fsync-per-append, so
             # closing is about releasing the descriptor cleanly.
-            closer = getattr(self._service, "close", None)
-            if closer is not None:
-                closer()
+            self._writer.close()
         return 0
 
     def _serve_connection(self, conn: socket.socket) -> None:
         with conn:
             while not self._stop.is_set():
                 try:
-                    frame = _read_frame(conn)
+                    frame = read_frame(conn)
                 except (OSError, ConnectionError):
                     return
                 if frame is None:
@@ -218,57 +197,27 @@ class _WriterProcess:
                 except Exception as error:  # noqa: BLE001 - reply, don't die
                     status, body = status_for_error(error), error_body(error)
                 try:
-                    _send_frame(conn, json.dumps(
+                    send_frame(conn, json.dumps(
                         {"status": status, "body": body}).encode("utf-8"))
                 except OSError:
                     return
 
     def _handle(self, message: dict) -> Tuple[int, dict]:
+        # The Writer publishes *before* returning: once the client sees 200
+        # the write is durable in the WAL and visible to any worker that
+        # refreshes — the no-lost-acknowledged-writes contract.
         operation = message.get("op")
-        service = self._service
-        with self._lock:
-            if operation == "ping":
-                return 200, {"status": "ok", "pid": os.getpid()}
-            if operation == "update":
-                inserts = [tuple(t) for t in message.get("insert", [])]
-                deletes = [tuple(t) for t in message.get("delete", [])]
-                result = service.update(inserts=inserts, deletes=deletes)
-                if (result.compaction is not None
-                        and result.compaction.compacted):
-                    self._note_compaction()
-                # Publish *before* acknowledging: once the client sees 200
-                # the write is durable in the WAL and visible to any worker
-                # that refreshes — the no-lost-acknowledged-writes contract
-                # the chaos test leans on.
-                self._publish()
-                return 200, result.to_json()
-            if operation == "compact":
-                result = service.compact()
-                if result.compacted:
-                    self._note_compaction()
-                self._publish()
-                return 200, result.to_json()
+        if operation == "ping":
+            return 200, {"status": "ok", "pid": os.getpid()}
+        if operation == "update":
+            return 200, self._writer.update(
+                inserts=[tuple(t) for t in message.get("insert", [])],
+                deletes=[tuple(t) for t in message.get("delete", [])],
+            ).to_json()
+        if operation == "compact":
+            return 200, self._writer.compact().to_json()
         return 400, {"error": {"type": "BadRequest",
                                "message": f"unknown writer op {operation!r}"}}
-
-    def _note_compaction(self) -> None:
-        # Only a *persisted* compaction re-points the container file and
-        # resets the WAL; bumping the generation then tells workers to
-        # re-map.  If the persist failed the WAL still holds the full
-        # history and workers' merged views remain correct as they are.
-        if getattr(self._service, "_persist_error", None) is None:
-            self._generation += 1
-
-    def _publish(self) -> None:
-        index = self._service.index
-        stats = index.delta_statistics()
-        write_epoch_document(self._pool.epoch_path, {
-            "generation": self._generation,
-            "epoch": self._epoch_offset + int(stats.get("epoch", 0)),
-            "wal": str(self._pool.wal_path),
-            "wal_records": int(stats.get("wal_records", 0)),
-            "pid": os.getpid(),
-        })
 
 
 class ServerPool:
@@ -490,12 +439,10 @@ class ServerPool:
         proxy = None
         health_extra = None
         if self.writable:
-            follower = EpochFollower(self.index_path, self.epoch_path,
-                                     mmap=self.mmap)
-            service = QueryService(
-                follower, dictionary=follower.dictionary,
-                cardinalities=follower.planner_stats, meta=follower.meta,
-                writable=False, **self.service_options)
+            service = QueryService.follow(self.index_path, self.epoch_path,
+                                          mmap=self.mmap,
+                                          **self.service_options)
+            follower = service.index
             refresh = follower.refresh
             proxy = WriterClient(self.writer_socket_path)
 

@@ -20,6 +20,7 @@ base graph so the read-only differential test stays order-independent.
 import json
 import os
 import re
+import shutil
 import signal
 import socket
 import subprocess
@@ -477,6 +478,27 @@ class TestPoolServing:
                                         "cache": False})
         triples = result["triples"]
         assert [700, 7, 701] in triples and [701, 7, 702] in triples
+
+    def test_epoch_document_schema_matches_shard_leader(self, pool,
+                                                        tmp_path):
+        """One epoch-document schema in every shape: the pool writer and
+        a shard leader (both container sides) publish the same keys."""
+        from repro.cluster.shard import ShardServer
+
+        sides = [tmp_path / "primary.bin", tmp_path / "replica.bin"]
+        for path in sides:
+            shutil.copyfile(pool["index_path"], path)
+        shard = ShardServer(0, sides[0], sides[1]).start()
+        try:
+            expected = set(json.loads(
+                (pool["root"] / "idx.wal.epoch").read_text()))
+            assert expected == {"generation", "epoch", "wal", "wal_records",
+                                "pid"}
+            for path in sides:
+                document = json.loads(Path(f"{path}.epoch").read_text())
+                assert set(document) == expected
+        finally:
+            shard.close()
 
     def test_metrics_aggregate_across_workers(self, pool):
         status, text = _get_text(pool["url"], "/metrics")
