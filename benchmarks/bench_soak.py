@@ -294,7 +294,7 @@ def _run_chaos(url: str, num_writes: int) -> dict:
             if status == 200:
                 acked.append(triple)  # the writer's ack: durable + published
                 break
-            retried += 1  # 503 WriterUnavailable while respawning, etc.
+            retried += 1  # 503 WriterUnavailableError while respawning, etc.
             time.sleep(0.2)
         else:
             raise RuntimeError(f"update {triple} never acknowledged")

@@ -6,7 +6,9 @@ for a :class:`~repro.cluster.client.ClusterIndex` and overriding the
 write path to route batches to their owning shards.  Everything else —
 SPARQL parsing against the cluster dictionary, plan cache, epoch-keyed
 result cache, limit/offset/timeout enforcement, latency statistics, the
-whole HTTP layer — is inherited.  Two execution strategies:
+whole HTTP layer — is inherited: the coordinator is a plain
+:class:`~repro.service.http.QueryServiceServer` over this service.  Two
+execution strategies:
 
 **Star pushdown.**  When every pattern of the BGP has the *same* subject
 term (one shared variable, or one constant), every solution's triples
@@ -63,8 +65,13 @@ from repro.errors import (
 )
 from repro.obs import QueryProfile, Span, decode_trace_context
 from repro.queries.sparql import is_variable
-from repro.service.engine import QueryResult, QueryService, latency_report
-from repro.service.http import QueryServiceHandler, QueryServiceServer, _run_one
+from repro.service.engine import (
+    QueryResult,
+    QueryService,
+    WriteResult,
+    latency_report,
+)
+from repro.service.http import QueryServiceServer
 from repro import wire
 
 
@@ -91,22 +98,6 @@ class _CompleteOnlyResultCache:
 
     def __getattr__(self, name):
         return getattr(self._inner, name)
-
-
-class ClusterWriteResult:
-    """An aggregated routed-write (or compaction) acknowledgement."""
-
-    def __init__(self, payload: Dict[str, Any]):
-        self.payload = payload
-
-    def to_json(self) -> Dict[str, Any]:
-        return dict(self.payload)
-
-    def __getattr__(self, name: str):
-        try:
-            return self.payload[name]
-        except KeyError:
-            raise AttributeError(name) from None
 
 
 class ClusterQueryService(QueryService):
@@ -151,12 +142,16 @@ class ClusterQueryService(QueryService):
     # Per-request partial-failure bookkeeping.
     # ------------------------------------------------------------------ #
 
-    def last_request_report(self) -> Dict[str, Any]:
-        """``{"incomplete": bool, "failed_shards": [...]}`` for the most
-        recent read executed on the calling thread."""
+    def request_report(self) -> Dict[str, Any]:
+        """``{"incomplete": bool}`` plus the ``failed_shards`` list when
+        non-empty, for the most recent read executed on the calling
+        thread."""
         state = self._request_state
-        return {"incomplete": bool(getattr(state, "incomplete", False)),
-                "failed_shards": list(getattr(state, "failed", ()))}
+        report = {"incomplete": bool(getattr(state, "incomplete", False))}
+        failed = list(getattr(state, "failed", ()))
+        if failed:
+            report["failed_shards"] = failed
+        return report
 
     def _remember(self, failures: Dict[int, str]) -> None:
         self._request_state.incomplete = bool(failures)
@@ -398,13 +393,13 @@ class ClusterQueryService(QueryService):
         with self._lock:
             self._updates_applied += (payload.get("inserted", 0)
                                       + payload.get("deleted", 0))
-        return ClusterWriteResult(payload)
+        return WriteResult(payload)
 
     def compact(self):
         payload = self._cluster.compact()
         self._index.bump_epoch()
         payload["epoch"] = self._index.epoch
-        return ClusterWriteResult(payload)
+        return WriteResult(payload)
 
     # ------------------------------------------------------------------ #
     # Observability.
@@ -481,40 +476,6 @@ class ClusterQueryService(QueryService):
             self._slow_log.close()
 
 
-class CoordinatorHandler(QueryServiceHandler):
-    """The single-box HTTP handler plus cluster-aware ``/healthz`` and an
-    explicit ``incomplete`` flag on best-effort query responses."""
-
-    server_version = "repro-coordinator"
-
-    def _run_query_object(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        body = _run_one(self.service, request,
-                        metrics=getattr(self.server, "metrics", None),
-                        trace={"trace_id": self._trace_id})
-        report = self.service.last_request_report()
-        body["incomplete"] = report["incomplete"]
-        if report["failed_shards"]:
-            body["failed_shards"] = report["failed_shards"]
-        return body
-
-    def do_GET(self) -> None:  # noqa: N802 - http.server naming
-        if self.path == "/healthz":
-            self._begin_request()
-            try:
-                self._send_json(200, self.service.health())
-            except Exception as error:  # pragma: no cover - handler guard
-                self._send_error_json(error)
-            return
-        super().do_GET()
-
-
-class CoordinatorServer(QueryServiceServer):
-    """A :class:`QueryServiceServer` dispatching to the cluster handler."""
-
-    def finish_request(self, request, client_address) -> None:
-        CoordinatorHandler(request, client_address, self)
-
-
 def parse_address(text: str) -> Tuple[str, int]:
     """``host:port`` → ``(host, port)`` (for --shard CLI flags)."""
     host, _, port = text.rpartition(":")
@@ -542,10 +503,10 @@ def build_coordinator(cluster_dir, addresses: Sequence[Tuple[str, int]],
                       key: Optional[str] = None, quiet: bool = False,
                       best_effort: bool = False,
                       log_format: str = "text",
-                      **service_options) -> CoordinatorServer:
+                      **service_options) -> QueryServiceServer:
     """Open the cluster and bind (not start) the coordinator HTTP server."""
     service = ClusterQueryService.from_cluster_dir(
         cluster_dir, addresses, key=key, best_effort=best_effort,
         **service_options)
-    return CoordinatorServer((host, port), service, quiet=quiet,
-                             log_format=log_format, subsystem="coordinator")
+    return QueryServiceServer((host, port), service, quiet=quiet,
+                              log_format=log_format, subsystem="coordinator")

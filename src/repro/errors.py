@@ -85,6 +85,14 @@ class ShardUnavailableError(ClusterError):
     """
 
 
+class WriterUnavailableError(ReproError):
+    """A pool worker could not reach the single writer process.
+
+    Mapped to HTTP 503: queries keep flowing while writes shed, and the
+    client retries once the supervisor has respawned the writer.
+    """
+
+
 class NotLeaderError(ClusterError):
     """A write or compaction was sent to a follower replica.
 

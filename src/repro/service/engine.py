@@ -34,6 +34,7 @@ counters share one service lock.
 from __future__ import annotations
 
 import math
+import os
 import threading
 import time
 from collections import deque
@@ -112,6 +113,23 @@ class PatternResult:
     @property
     def count(self) -> int:
         return len(self.triples)
+
+
+class WriteResult:
+    """A write (or compaction) acknowledged by other processes: the pool's
+    writer or a coordinator's owning shards."""
+
+    def __init__(self, payload: Dict[str, Any]):
+        self.payload = payload
+
+    def to_json(self) -> Dict[str, Any]:
+        return dict(self.payload)
+
+    def __getattr__(self, name: str):
+        try:
+            return self.payload[name]
+        except KeyError:
+            raise AttributeError(name) from None
 
 
 def _percentile(sorted_values: Sequence[float], fraction: float) -> float:
@@ -261,6 +279,9 @@ class QueryService:
         #: carried in every plan-cache key, so stale plans die with it.
         self._plan_epoch = 0
         self._started = time.monotonic()
+        #: The :class:`~repro.dynamic.EpochFollower` behind a service built
+        #: by :meth:`follow` (``None`` otherwise); see :meth:`refresh`.
+        self._follower = None
 
     # ------------------------------------------------------------------ #
     # Construction.
@@ -310,14 +331,16 @@ class QueryService:
         that tails the epochs a :class:`~repro.service.writer.Writer`
         publishes at ``epoch_path`` for the container at ``index_path``.
 
-        The follower is the service's :attr:`index`; call its ``refresh``
+        The follower is the service's :attr:`index`; call :meth:`refresh`
         at the start of every request to see each acknowledged write.
         """
         from repro.dynamic.follower import EpochFollower
         follower = EpochFollower(index_path, epoch_path, mmap=mmap)
-        return cls(follower, dictionary=follower.dictionary,
-                   cardinalities=follower.planner_stats, meta=follower.meta,
-                   writable=False, **options)
+        service = cls(follower, dictionary=follower.dictionary,
+                      cardinalities=follower.planner_stats,
+                      meta=follower.meta, writable=False, **options)
+        service._follower = follower
+        return service
 
     # ------------------------------------------------------------------ #
     # Introspection.
@@ -828,9 +851,44 @@ class QueryService:
         if self._slow_log is not None:
             self._slow_log.close()
 
+    def refresh(self) -> bool:
+        """Catch up with the writer's published epoch; returns whether the
+        view changed.  Only a :meth:`follow` service has anything to catch
+        up with — the no-change fast path is a single ``stat``."""
+        return self._follower is not None and self._follower.refresh()
+
     # ------------------------------------------------------------------ #
     # Statistics.
     # ------------------------------------------------------------------ #
+
+    def health(self) -> Dict[str, Any]:
+        """The ``GET /healthz`` body.  A process applying its own writes
+        never trails the WAL; a :meth:`follow` service reports its
+        follower's gauges, ``"degraded"`` if one of them fails."""
+        index = self._index
+        body = {
+            "status": "ok",
+            "pid": os.getpid(),
+            "epoch": int(getattr(index, "epoch", 0)),
+            "combined_epoch": int(getattr(index, "combined_epoch",
+                                          getattr(index, "epoch", 0))),
+            "wal_lag": 0,
+            "num_triples": int(index.num_triples),
+        }
+        follower = self._follower
+        if follower is not None:
+            try:
+                body.update({"combined_epoch": follower.combined_epoch,
+                             "wal_lag": follower.wal_lag(),
+                             "generation": follower.generation})
+            except Exception:  # health must not 500 on a gauge
+                body["status"] = "degraded"
+        return body
+
+    def request_report(self) -> Dict[str, Any]:
+        """Fields to merge into the response body of the read this thread
+        just ran (a coordinator flags partial answers here)."""
+        return {}
 
     def statistics(self) -> Dict[str, Any]:
         """A JSON-ready snapshot of the service's behaviour so far."""

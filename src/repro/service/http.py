@@ -21,8 +21,9 @@ Endpoints:
   ``{"delete": [...]}`` (integer ID triples).  Requires a writable service
   (``repro serve --writable``); responds with the applied counts and the
   new index epoch, plus the compaction report if the batch tripped the
-  size-ratio trigger.  Under the pre-fork pool the batch is proxied to the
-  single writer process and acknowledged only once durable and published.
+  size-ratio trigger.  Under the pre-fork pool the worker's service hands
+  the batch to the single writer process and acknowledges it only once
+  durable and published.
 * ``POST /compact`` — fold the in-memory delta into a freshly built
   index; responds with the compaction report (a no-op when the delta is
   empty).
@@ -32,6 +33,10 @@ Endpoints:
   :mod:`repro.service.metrics`), aggregated across workers under the pool.
 * ``GET /healthz`` — liveness probe; reports the answering process's pid
   and index epoch.
+
+One handler serves every deployment shape (single box, pool worker,
+cluster coordinator); a shape plugs in through the service object it
+builds, the only thing the handler talks to.
 
 Failures are structured: every error response is
 ``{"error": {"type": ..., "message": ...}}`` with the HTTP status mapped
@@ -44,13 +49,13 @@ answers 503, an exhausted per-client token bucket answers 429, both with
 from __future__ import annotations
 
 import json
-import os
 import socket
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, Optional, Tuple
 
+from repro import wire
 from repro.errors import (
     DictionaryError,
     ParseError,
@@ -61,6 +66,7 @@ from repro.errors import (
     ShardUnavailableError,
     StorageError,
     UpdateError,
+    WriterUnavailableError,
 )
 from repro.obs import decode_trace_context, get_logger, new_trace_id
 from repro.service.engine import QueryService
@@ -76,6 +82,7 @@ _STATUS_BY_ERROR: Tuple[Tuple[type, int], ...] = (
     (ServiceError, 400),
     (QueryTimeoutError, 408),
     (ShardUnavailableError, 503),
+    (WriterUnavailableError, 503),
     (StorageError, 500),
     (ReproError, 400),
 )
@@ -96,7 +103,7 @@ def status_for_error(error: Exception) -> int:
 
 def error_body(error: Exception) -> Dict[str, Any]:
     """The structured JSON body describing ``error``."""
-    return {"error": {"type": type(error).__name__, "message": str(error)}}
+    return {"error": wire.encode_error(error)}
 
 
 class AdmissionControl:
@@ -215,7 +222,8 @@ def _observe_result(metrics, result) -> None:
 def _run_one(service: QueryService, request: Dict[str, Any],
              metrics=None, trace: Optional[Dict[str, str]] = None
              ) -> Dict[str, Any]:
-    """Execute one request object against ``service`` and serialise it."""
+    """Execute one request object against ``service`` and serialise it,
+    merging in the service's :meth:`~QueryService.request_report`."""
     if not isinstance(request, dict):
         raise ServiceError("each query must be a JSON object")
     unknown = set(request) - {"sparql", "pattern", "limit", "offset",
@@ -245,17 +253,20 @@ def _run_one(service: QueryService, request: Dict[str, Any],
                                  timeout=timeout, use_cache=use_cache,
                                  engine=engine, profile=profile, trace=trace)
         if metrics is None:
-            return query_result_to_json(result)
-        _observe_result(metrics, result)
-        stamp = time.perf_counter()
-        body = query_result_to_json(result)
-        metrics.observe_stage("serialize", time.perf_counter() - stamp)
-        return body
-    if engine is not None:
-        raise ServiceError("'engine' only applies to SPARQL queries")
-    if profile:
-        raise ServiceError("'profile' only applies to SPARQL queries")
-    if "pattern" in request:
+            body = query_result_to_json(result)
+        else:
+            _observe_result(metrics, result)
+            stamp = time.perf_counter()
+            body = query_result_to_json(result)
+            metrics.observe_stage("serialize", time.perf_counter() - stamp)
+    else:
+        if engine is not None:
+            raise ServiceError("'engine' only applies to SPARQL queries")
+        if profile:
+            raise ServiceError("'profile' only applies to SPARQL queries")
+        if "pattern" not in request:
+            raise ServiceError(
+                "a query needs either a 'sparql' or a 'pattern' field")
         pattern = request["pattern"]
         if (not isinstance(pattern, (list, tuple)) or len(pattern) != 3 or
                 not all(term is None or isinstance(term, int)
@@ -266,8 +277,9 @@ def _run_one(service: QueryService, request: Dict[str, Any],
         result = service.select(pattern, limit=limit, offset=offset,
                                 use_cache=use_cache)
         dictionary = service.dictionary if request.get("decode") else None
-        return pattern_result_to_json(result, dictionary=dictionary)
-    raise ServiceError("a query needs either a 'sparql' or a 'pattern' field")
+        body = pattern_result_to_json(result, dictionary=dictionary)
+    body.update(service.request_report())
+    return body
 
 
 def _parse_triples(value: Any, field: str) -> list:
@@ -291,8 +303,8 @@ def _parse_triples(value: Any, field: str) -> list:
     return triples
 
 
-def _validate_update(request: Dict[str, Any]) -> Tuple[list, list]:
-    """Shape-check one ``POST /update`` body; returns ``(inserts, deletes)``."""
+def _run_update(service: QueryService, request: Dict[str, Any]) -> Dict[str, Any]:
+    """Shape-check one ``POST /update`` body and apply it to ``service``."""
     unknown = set(request) - {"insert", "delete"}
     if unknown:
         raise ServiceError(f"unknown update field(s): {sorted(unknown)}")
@@ -303,12 +315,6 @@ def _validate_update(request: Dict[str, Any]) -> Tuple[list, list]:
     if not inserts and not deletes:
         raise ServiceError(
             "an update needs an 'insert' and/or a 'delete' list")
-    return inserts, deletes
-
-
-def _run_update(service: QueryService, request: Dict[str, Any]) -> Dict[str, Any]:
-    """Execute one ``POST /update`` body against ``service``."""
-    inserts, deletes = _validate_update(request)
     # One atomic batch: a failure anywhere applies nothing, and readers
     # never observe the inserts without the deletes.
     result = service.update(inserts=inserts, deletes=deletes)
@@ -320,6 +326,9 @@ class QueryServiceHandler(BaseHTTPRequestHandler):
 
     server_version = "repro-serve"
     protocol_version = "HTTP/1.1"
+    #: Set when admission control sheds this request (which closes the
+    #: connection): only that 503 counts as ``overload``.
+    _overloaded = False
 
     @property
     def service(self) -> QueryService:
@@ -396,7 +405,7 @@ class QueryServiceHandler(BaseHTTPRequestHandler):
             metrics.add("timeouts")
         elif status == 429:
             metrics.add("ratelimited")
-        elif status == 503:
+        elif self._overloaded:
             metrics.add("overload")
         elif status >= 500:
             metrics.add("errors")
@@ -415,14 +424,11 @@ class QueryServiceHandler(BaseHTTPRequestHandler):
         trace_id, _ = decode_trace_context(
             {"trace_id": header.strip().lower()} if header else None)
         self._trace_id = trace_id or new_trace_id()
-        refresh = getattr(self.server, "refresh_index", None)
-        if refresh is None:
-            return
         try:
             # Catch up with the writer's published epoch before answering:
             # this is what gives the pool read-your-writes across worker
-            # processes.  The no-change fast path is a single stat().
-            if refresh():
+            # processes.
+            if self.service.refresh():
                 metrics = getattr(self.server, "metrics", None)
                 if metrics is not None:
                     metrics.add("refreshes")
@@ -433,27 +439,7 @@ class QueryServiceHandler(BaseHTTPRequestHandler):
         self._begin_request()
         try:
             if self.path == "/healthz":
-                index = self.service.index
-                body = {
-                    "status": "ok",
-                    "pid": os.getpid(),
-                    "epoch": int(getattr(index, "epoch", 0)),
-                    # For a process that applies its own writes the epoch
-                    # *is* the combined epoch and it never trails the WAL;
-                    # followers and coordinators override both through the
-                    # ``health_extra`` hook.
-                    "combined_epoch": int(getattr(index, "combined_epoch",
-                                                  getattr(index, "epoch", 0))),
-                    "wal_lag": 0,
-                    "num_triples": int(index.num_triples),
-                }
-                extra = getattr(self.server, "health_extra", None)
-                if extra is not None:
-                    try:
-                        body.update(extra())
-                    except Exception:  # health must not 500 on a gauge
-                        body["status"] = "degraded"
-                self._send_json(200, body)
+                self._send_json(200, self.service.health())
             elif self.path == "/stats":
                 self._send_json(200, self.service.statistics())
             elif self.path == "/metrics":
@@ -529,6 +515,7 @@ class QueryServiceHandler(BaseHTTPRequestHandler):
         metrics = getattr(self.server, "metrics", None)
         if admission is not None and not admission.try_acquire():
             self.close_connection = True
+            self._overloaded = True
             self._send_json(503, {"error": {
                 "type": "Overloaded",
                 "message": f"all {admission.max_inflight} request slots are "
@@ -567,15 +554,18 @@ class QueryServiceHandler(BaseHTTPRequestHandler):
             if not isinstance(request, dict):
                 raise ServiceError("request body must be a JSON object")
             if self.path == "/update":
-                self._handle_update(request)
-                return
-            if self.path == "/compact":
+                body = _run_update(self.service, request)
+                applied = (int(body.get("inserted", 0))
+                           + int(body.get("deleted", 0)))
+                metrics = getattr(self.server, "metrics", None)
+                if metrics is not None and applied:
+                    metrics.add("updates", applied)
+                self._send_json(200, body)
+            elif self.path == "/compact":
                 if request:
-                    raise ServiceError(
-                        "POST /compact takes an empty body")
-                self._handle_compact()
-                return
-            if "batch" in request:
+                    raise ServiceError("POST /compact takes an empty body")
+                self._send_json(200, self.service.compact().to_json())
+            elif "batch" in request:
                 batch = request["batch"]
                 if not isinstance(batch, list):
                     raise ServiceError("'batch' must be a list of query objects")
@@ -595,58 +585,10 @@ class QueryServiceHandler(BaseHTTPRequestHandler):
             self._send_error_json(error)
 
     def _run_query_object(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        """One ``POST /query`` object → response body.  The coordinator's
-        handler overrides this to annotate partial (best-effort) results."""
+        """One ``POST /query`` object → response body."""
         return _run_one(self.service, request,
                         metrics=getattr(self.server, "metrics", None),
                         trace={"trace_id": self._trace_id})
-
-    def _handle_update(self, request: Dict[str, Any]) -> None:
-        proxy = getattr(self.server, "update_proxy", None)
-        if proxy is None:
-            body = _run_update(self.service, request)
-            self._count_updates(body)
-            self._send_json(200, body)
-            return
-        # Pool worker: shape-check locally (cheap, keeps malformed input
-        # off the writer), then route the batch to the single writer
-        # process.  Its reply means "durable in the WAL and published";
-        # refreshing before answering gives this worker read-your-writes.
-        inserts, deletes = _validate_update(request)
-        status, body = proxy.request({
-            "op": "update",
-            "insert": [list(t) for t in inserts],
-            "delete": [list(t) for t in deletes]})
-        if status == 200:
-            self._count_updates(body)
-            self._refresh_after_write()
-        self._send_json(status, body)
-
-    def _handle_compact(self) -> None:
-        proxy = getattr(self.server, "update_proxy", None)
-        if proxy is None:
-            self._send_json(200, self.service.compact().to_json())
-            return
-        status, body = proxy.request({"op": "compact"})
-        if status == 200:
-            self._refresh_after_write()
-        self._send_json(status, body)
-
-    def _count_updates(self, body: Dict[str, Any]) -> None:
-        metrics = getattr(self.server, "metrics", None)
-        if metrics is not None and isinstance(body, dict):
-            applied = (int(body.get("inserted", 0))
-                       + int(body.get("deleted", 0)))
-            if applied:
-                metrics.add("updates", applied)
-
-    def _refresh_after_write(self) -> None:
-        refresh = getattr(self.server, "refresh_index", None)
-        if refresh is not None:
-            try:
-                refresh()
-            except Exception:  # pragma: no cover - reply is still correct
-                pass
 
 
 class QueryServiceServer(ThreadingHTTPServer):
@@ -656,9 +598,7 @@ class QueryServiceServer(ThreadingHTTPServer):
     policy the handler consults: an optional :class:`AdmissionControl`
     gate, an optional :class:`TokenBucketLimiter`, the process's shared
     metrics slot, and — under the pre-fork pool — an already-bound
-    ``listen_socket`` to adopt instead of binding, a ``refresh_index``
-    callable (epoch catch-up) and an ``update_proxy`` (route writes to
-    the writer process).
+    ``listen_socket`` to adopt instead of binding.
     """
 
     daemon_threads = True
@@ -669,8 +609,6 @@ class QueryServiceServer(ThreadingHTTPServer):
                  admission: Optional[AdmissionControl] = None,
                  rate_limiter: Optional[TokenBucketLimiter] = None,
                  metrics=None, metrics_block=None,
-                 refresh_index=None, update_proxy=None,
-                 health_extra=None,
                  drain: bool = False,
                  handler_timeout: Optional[float] = None,
                  log_format: str = "text",
@@ -692,12 +630,6 @@ class QueryServiceServer(ThreadingHTTPServer):
         self.rate_limiter = rate_limiter
         self.metrics = metrics
         self.metrics_block = metrics_block
-        self.refresh_index = refresh_index
-        self.update_proxy = update_proxy
-        #: Optional zero-arg callable returning extra ``GET /healthz``
-        #: fields (pool workers report follower WAL lag, the coordinator
-        #: reports per-shard health through it).
-        self.health_extra = health_extra
         self.handler_timeout = handler_timeout
         #: Structured per-subsystem access logger (``--log-format``).
         self.access_logger = get_logger(subsystem, log_format)

@@ -13,7 +13,7 @@ Process model::
       │                 publishes an epoch document after each one
       └─ worker × N     mmap the index read-only, accept() on the shared
                         listener, answer queries; follow the writer's
-                        epochs; proxy /update & /compact to the writer
+                        epochs; forward /update & /compact to the writer
 
 * **Sockets.**  The master binds and listens once; every worker inherits
   the socket through ``fork`` and calls ``accept`` on it, so the kernel
@@ -21,12 +21,13 @@ Process model::
   the listening queue.  ``SO_REUSEPORT`` is additionally set where the
   platform offers it, so an operator can co-bind a second pool on the
   same port for a blue-green handover.
-* **Writes.**  Workers never mutate anything.  ``POST /update`` and
-  ``POST /compact`` are framed as JSON over a unix domain socket to the
-  single writer process, whose :class:`~repro.service.writer.Writer`
-  applies them (WAL first, then visible), *publishes* the new epoch, and
-  only then lets the process acknowledge — so an acknowledged write is
-  durable and observable from every worker.
+* **Writes.**  Workers never mutate anything.  A worker serves a
+  :class:`WorkerService`, whose ``update``/``compact`` frame the batch as
+  JSON over a unix domain socket to the single writer process.  Its
+  :class:`~repro.service.writer.Writer` applies them (WAL first, then
+  visible), *publishes* the new epoch, and only then lets the process
+  acknowledge — so an acknowledged write is durable and observable from
+  every worker.
 * **Epochs.**  Publication is a tiny atomically-replaced JSON document
   (see :mod:`repro.dynamic.follower`).  Workers serve through
   :meth:`QueryService.follow <repro.service.engine.QueryService.follow>`
@@ -55,10 +56,12 @@ import time
 import traceback
 from typing import Dict, Optional, Tuple
 
+from repro import wire
 from repro.dynamic.follower import read_epoch_document
+from repro.errors import WriterUnavailableError
 from repro.net import read_frame, send_frame
 from repro.obs import get_logger
-from repro.service.engine import QueryService
+from repro.service.engine import QueryService, WriteResult
 from repro.service.http import (
     AdmissionControl,
     QueryServiceServer,
@@ -69,7 +72,7 @@ from repro.service.http import (
 from repro.service.metrics import MetricsBlock
 from repro.service.writer import Writer
 
-__all__ = ["ServerPool", "WriterClient"]
+__all__ = ["ServerPool", "WorkerService", "WriterClient"]
 
 #: How long a worker waits for (re)connecting to the writer socket.
 _WRITER_CONNECT_TIMEOUT = 5.0
@@ -83,8 +86,9 @@ class WriterClient:
 
     One request/reply in flight at a time per worker (serialised on a
     lock); a broken connection is retried once — the writer may have just
-    been respawned.  An unreachable writer is reported as a 503 body, not
-    an exception: queries must keep flowing while writes shed.
+    been respawned.  An unreachable writer is reported as a 503
+    :class:`~repro.errors.WriterUnavailableError` body, not an exception:
+    queries must keep flowing while writes shed.
     """
 
     def __init__(self, path):
@@ -130,10 +134,54 @@ class WriterClient:
                             self._sock.close()
                         finally:
                             self._sock = None
-        return 503, {"error": {
-            "type": "WriterUnavailable",
-            "message": f"the writer process is unreachable "
-                       f"({last_error}); retry later"}}
+        return 503, error_body(WriterUnavailableError(
+            f"the writer process is unreachable ({last_error}); "
+            f"retry later"))
+
+
+def _writer_error(payload: dict) -> Exception:
+    """The exception a non-200 writer reply's ``error`` object describes:
+    a :mod:`repro.errors` type decodes as itself, any other (a 500) is
+    re-raised under its own name, so the worker's reply matches the
+    writer's."""
+    name = str(payload.get("type", ""))
+    if name in wire.ERROR_TYPES:
+        return wire.decode_error(payload)
+    return type(name or "Exception", (Exception,), {})(
+        str(payload.get("message", "")))
+
+
+class WorkerService(QueryService):
+    """A pool worker's service, built with :meth:`QueryService.follow`:
+    reads follow the writer's published epochs; a write goes to the writer
+    process and returns once durable, published and refreshed onto here
+    (read-your-writes)."""
+
+    def __init__(self, *args, writer_socket, **options):
+        super().__init__(*args, **options)
+        self._writer = WriterClient(writer_socket)
+
+    def update(self, inserts=(), deletes=()) -> WriteResult:
+        return self._write({"op": "update",
+                            "insert": [list(t) for t in inserts],
+                            "delete": [list(t) for t in deletes]})
+
+    def compact(self) -> WriteResult:
+        return self._write({"op": "compact"})
+
+    def _write(self, message: dict) -> WriteResult:
+        status, body = self._writer.request(message)
+        if status != 200:
+            raise _writer_error(body.get("error", {}))
+        try:
+            self.refresh()
+        except Exception:  # the ack stands; the next request catches up
+            pass
+        return WriteResult(body)
+
+    def close(self) -> None:
+        self._writer.close()
+        super().close()
 
 
 class _WriterProcess:
@@ -435,21 +483,11 @@ class ServerPool:
         metrics = self._block.worker(slot)
         # A predecessor killed mid-request leaves its gauge high forever.
         metrics.set("inflight", 0)
-        refresh = None
-        proxy = None
-        health_extra = None
         if self.writable:
-            service = QueryService.follow(self.index_path, self.epoch_path,
-                                          mmap=self.mmap,
-                                          **self.service_options)
-            follower = service.index
-            refresh = follower.refresh
-            proxy = WriterClient(self.writer_socket_path)
-
-            def health_extra(follower=follower):
-                return {"combined_epoch": follower.combined_epoch,
-                        "wal_lag": follower.wal_lag(),
-                        "generation": follower.generation}
+            service = WorkerService.follow(
+                self.index_path, self.epoch_path, mmap=self.mmap,
+                writer_socket=self.writer_socket_path,
+                **self.service_options)
         else:
             service = QueryService.from_file(
                 self.index_path, writable=False, mmap=self.mmap,
@@ -461,8 +499,6 @@ class ServerPool:
             listen_socket=self._listener,
             admission=AdmissionControl(self.max_inflight),
             rate_limiter=limiter, metrics=metrics, metrics_block=self._block,
-            refresh_index=refresh, update_proxy=proxy,
-            health_extra=health_extra,
             drain=True, handler_timeout=5.0,
             log_format=self.log_format, subsystem="pool")
 
@@ -474,9 +510,5 @@ class ServerPool:
         signal.signal(signal.SIGTERM, _graceful)
         server.serve_forever(poll_interval=0.1)
         server.server_close()  # joins in-flight handler threads
-        if proxy is not None:
-            proxy.close()
-        closer = getattr(service, "close", None)
-        if closer is not None:
-            closer()
+        service.close()
         return 0

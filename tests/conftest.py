@@ -6,7 +6,10 @@ them is paid once; tests must therefore treat them as read-only.
 
 from __future__ import annotations
 
+import http.client
+import json
 import random
+import urllib.parse
 
 import pytest
 
@@ -89,3 +92,61 @@ def dbpedia_like_store() -> TripleStore:
 def watdiv_dataset():
     """A small WatDiv-like dataset with numeric literals for range queries."""
     return generate_watdiv(scale=120, seed=9)
+
+
+#: One request script every HTTP deployment shape (single box, pool worker,
+#: cluster coordinator) must answer alike: (method, path, JSON body or
+#: ``None``, expected status, expected error ``type``).  A POST with no body
+#: is sent without a Content-Length header; a batch expects one error type
+#: (or ``None``) per entry.
+HTTP_CONFORMANCE = (
+    ("POST", "/query", {"pattern": [None, None, None], "limit": 1},
+     200, None),
+    ("POST", "/query", {"sparql": "SELECT ?s ?o WHERE { ?s 0 ?o }",
+                        "limit": 1}, 200, None),
+    ("POST", "/query", {"batch": [{"pattern": [None, None, None],
+                                   "limit": 1},
+                                  {"pattern": [1, 2]}]},
+     200, [None, "ServiceError"]),
+    ("POST", "/update", {"insert": [[1, 2]]}, 400, "ServiceError"),
+    ("POST", "/update", {"insert": [[-1, 0, 0]]}, 400, "UpdateError"),
+    ("POST", "/compact", {"force": True}, 400, "ServiceError"),
+    ("GET", "/query", None, 405, "MethodNotAllowed"),
+    ("GET", "/nowhere", None, 404, "NotFound"),
+    ("POST", "/query", None, 411, "LengthRequired"),
+)
+
+
+def _conformance_exchange(base_url, method, path, body):
+    """(status, error type) of one request — per entry for a batch."""
+    address = urllib.parse.urlsplit(base_url)
+    connection = http.client.HTTPConnection(address.hostname, address.port,
+                                            timeout=30)
+    try:
+        if body is None and method == "POST":
+            connection.putrequest(method, path)
+            connection.endheaders()
+        else:
+            payload = None if body is None else json.dumps(body).encode()
+            connection.request(method, path, body=payload,
+                               headers={"Content-Type": "application/json"})
+        response = connection.getresponse()
+        reply = json.loads(response.read())
+    finally:
+        connection.close()
+    if "results" in reply:
+        return response.status, [entry.get("error", {}).get("type")
+                                 for entry in reply["results"]]
+    return response.status, reply.get("error", {}).get("type")
+
+
+@pytest.fixture(scope="session")
+def http_conformance():
+    """Run :data:`HTTP_CONFORMANCE` against a served base URL (writable:
+    the update requests must reach the write path) and assert every
+    status and error type."""
+    def check(base_url):
+        for method, path, body, status, error_type in HTTP_CONFORMANCE:
+            assert _conformance_exchange(base_url, method, path, body) == (
+                status, error_type), (method, path, body)
+    return check

@@ -21,7 +21,6 @@ from repro.cluster import rpc
 from repro.cluster.client import ClusterClient
 from repro.cluster.coordinator import (
     ClusterQueryService,
-    CoordinatorServer,
     parse_address,
     parse_replica_set,
 )
@@ -39,6 +38,7 @@ from repro.core import build_index
 from repro.errors import ClusterError, NotLeaderError, ShardUnavailableError
 from repro.queries.planner import QueryPlanner
 from repro.rdf.dictionary import RdfDictionary
+from repro.service import build_server
 from repro.service.engine import QueryService
 from repro.storage import save_index
 
@@ -370,7 +370,7 @@ def test_best_effort_marks_partial_results(source_container, tmp_path):
         assert partial.statistics["incomplete"] is True
         assert partial.statistics["failed_shards"] == [0]
         assert 0 < len(partial.bindings) < len(complete.bindings)
-        report = cluster.service.last_request_report()
+        report = cluster.service.request_report()
         assert report["incomplete"] is True
 
         # Writes stay fail-fast even under best-effort: an acknowledged
@@ -567,7 +567,7 @@ class TestReplication:
                             pattern, limit=10**6, use_cache=False).triples)
                         assert actual == expected, (shard_id, replica,
                                                     pattern)
-                        report = cluster.service.last_request_report()
+                        report = cluster.service.request_report()
                         assert report["incomplete"] is False
                     cluster.restart(shard_id, replica=replica)
         finally:
@@ -822,7 +822,7 @@ class TestBackoff:
 def http_cluster(source_container, tmp_path_factory):
     directory = tmp_path_factory.mktemp("http-cluster")
     cluster = _Cluster(source_container, directory / "c", 2)
-    server = CoordinatorServer(("127.0.0.1", 0), cluster.service, quiet=True)
+    server = build_server(cluster.service, port=0, quiet=True)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     host, port = server.server_address[:2]
@@ -891,12 +891,15 @@ class TestCoordinatorHttp:
             text = response.read().decode()
         assert "repro_index_triples" in text
 
+    def test_http_conformance(self, http_cluster, http_conformance):
+        _, base = http_cluster
+        http_conformance(base)
+
     def test_dead_shard_maps_to_503(self, source_container,
                                     tmp_path_factory):
         directory = tmp_path_factory.mktemp("http-503")
         cluster = _Cluster(source_container, directory / "c", 2)
-        server = CoordinatorServer(("127.0.0.1", 0), cluster.service,
-                                   quiet=True)
+        server = build_server(cluster.service, port=0, quiet=True)
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()
         host, port = server.server_address[:2]

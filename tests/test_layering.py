@@ -90,3 +90,33 @@ def test_imports_only_go_down():
 def test_service_never_imports_cluster():
     assert not [file for file, source, target in _imports()
                 if source == "service" and target == "cluster"]
+
+
+#: The stdlib HTTP bases; only the one front end may build on them.
+HTTP_BASES = {"BaseHTTPRequestHandler", "HTTPServer", "ThreadingHTTPServer"}
+HTTP_FRONT = {("service/http.py", "QueryServiceHandler"),
+              ("service/http.py", "QueryServiceServer")}
+
+
+def _subclasses():
+    """(file, class name, base names) for every class under ``src/repro``."""
+    for path in sorted(SRC.rglob("*.py")):
+        relative = path.relative_to(SRC).as_posix()
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ClassDef):
+                bases = {base.id if isinstance(base, ast.Name)
+                         else getattr(base, "attr", None)
+                         for base in node.bases}
+                yield relative, node.name, bases
+
+
+def test_one_http_front():
+    """Every deployment shape serves through the same handler and server:
+    a shape plugs in through its service object, never a subclass."""
+    classes = list(_subclasses())
+    http = {(file, name) for file, name, bases in classes
+            if bases & HTTP_BASES}
+    assert http == HTTP_FRONT
+    front = {name for _, name in HTTP_FRONT}
+    assert [(file, name) for file, name, bases in classes
+            if bases & front] == []

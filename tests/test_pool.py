@@ -44,6 +44,8 @@ from repro.service import (
     build_server,
 )
 from repro.service.metrics import LATENCY_BUCKETS, render_prometheus
+from repro.service.pool import WorkerService
+from repro.service.writer import Writer
 from repro.storage import save_index
 from repro.storage.wal import WalReader, WriteAheadLog
 
@@ -221,9 +223,9 @@ def _get_json(url, path):
 
 
 class TestLoadShedding:
-    def _serve(self, **options):
-        server = build_server(_service(), host="127.0.0.1", port=0,
-                              quiet=True, **options)
+    def _serve(self, service=None, **options):
+        server = build_server(service or _service(), host="127.0.0.1",
+                              port=0, quiet=True, **options)
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()
         host, port = server.server_address[:2]
@@ -231,7 +233,9 @@ class TestLoadShedding:
 
     def test_admission_full_sheds_503(self):
         gate = AdmissionControl(1)
-        server, thread, url = self._serve(admission=gate)
+        block = MetricsBlock(1)
+        server, thread, url = self._serve(
+            admission=gate, metrics=block.worker(0), metrics_block=block)
         try:
             assert gate.try_acquire()  # occupy the only slot
             status, body, headers = _post_json(url, "/query",
@@ -239,6 +243,9 @@ class TestLoadShedding:
             assert status == 503
             assert body["error"]["type"] == "Overloaded"
             assert headers["Retry-After"] == "1"
+            # The handler books the response just after writing it.
+            assert _wait_until(lambda: block.totals()["overload"] == 1,
+                               timeout=5)
             gate.release()
             status, _, _ = _post_json(url, "/query",
                                       {"pattern": [0, None, None]})
@@ -247,6 +254,70 @@ class TestLoadShedding:
             server.shutdown()
             server.server_close()
             thread.join(timeout=5)
+            block.close()
+
+    @staticmethod
+    def _worker_service(tmp_path):
+        """A pool worker's service over a published index whose writer
+        socket nobody listens on."""
+        index_path = tmp_path / "idx.bin"
+        save_index(build_index(TripleStore.from_triples(BASE_TRIPLES), "2tp"),
+                   index_path, aligned=True)
+        epoch_path = tmp_path / "idx.wal.epoch"
+        Writer(index_path, tmp_path / "idx.wal", epoch_path).close()
+        return WorkerService.follow(index_path, epoch_path,
+                                    writer_socket=tmp_path / "gone.sock")
+
+    def test_unreachable_writer_is_an_error_not_overload(self, tmp_path):
+        """Only admission shedding books ``overload``; a worker whose
+        writer is gone answers 503 too, but that is an error."""
+        service = self._worker_service(tmp_path)
+        block = MetricsBlock(1)
+        server, thread, url = self._serve(
+            service, metrics=block.worker(0), metrics_block=block)
+        try:
+            status, body, _ = _post_json(url, "/update",
+                                         {"insert": [[1, 2, 3]]})
+            assert status == 503
+            assert body["error"]["type"] == "WriterUnavailableError"
+            _wait_until(lambda: block.totals()["requests"] == 1, timeout=5)
+            totals = block.totals()
+            assert (totals["requests"], totals["overload"],
+                    totals["errors"]) == (1, 0, 1)
+        finally:
+            server.shutdown()
+            server.server_close()
+            thread.join(timeout=5)
+            service.close()
+            block.close()
+
+    @pytest.mark.parametrize("status, error_type", [
+        (400, "UpdateError"), (500, "StorageError"), (500, "MemoryError")])
+    def test_writer_error_reply_passes_through(self, tmp_path, status,
+                                               error_type):
+        """A worker answers a failed write with the writer's own status
+        and error body, whether or not the type is a repro error."""
+        service = self._worker_service(tmp_path)
+        reply = {"error": {"type": error_type, "message": "boom"}}
+
+        class FailingWriter:
+            def request(self, message):
+                return status, reply
+
+            def close(self):
+                pass
+
+        service._writer = FailingWriter()
+        server, thread, url = self._serve(service)
+        try:
+            assert _post_json(url, "/update", {"insert": [[1, 2, 3]]})[:2] \
+                == (status, reply)
+            assert _post_json(url, "/compact", {})[:2] == (status, reply)
+        finally:
+            server.shutdown()
+            server.server_close()
+            thread.join(timeout=5)
+            service.close()
 
     def test_rate_limit_sheds_429_posts_only(self):
         block = MetricsBlock(1)
@@ -418,6 +489,9 @@ class TestPoolServing:
                                             "cache": False})
             assert status == 200
             assert result["triples"] == [[500, 7, 501]]
+
+    def test_http_conformance(self, pool, http_conformance):
+        http_conformance(pool["url"])
 
     def test_update_validation_stays_local_400(self, pool):
         status, body, _ = _post_json(pool["url"], "/update",

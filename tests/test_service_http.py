@@ -13,7 +13,10 @@ import pytest
 
 from repro.core.builder import build_index
 from repro.rdf.dictionary import RdfDictionary
+from repro.rdf.triples import TripleStore
 from repro.service import QueryService, build_server
+from repro.service.writer import Writer
+from repro.storage import save_index
 
 KNOWS = "<http://example.org/knows>"
 LIKES = "<http://example.org/likes>"
@@ -87,36 +90,44 @@ class TestProbes:
         assert body["combined_epoch"] == 0
         assert body["wal_lag"] == 0
 
-    def test_healthz_health_extra_hook(self):
-        dictionary, store = RdfDictionary.from_term_triples(TERM_TRIPLES)
-        service = QueryService(build_index(store, "2tp"),
-                               dictionary=dictionary)
-        instance = build_server(
-            service, host="127.0.0.1", port=0, quiet=True,
-            health_extra=lambda: {"combined_epoch": 7, "wal_lag": 3})
-        thread = threading.Thread(target=instance.serve_forever, daemon=True)
-        thread.start()
-        try:
-            host, port = instance.server_address[:2]
-            status, body = _get(f"http://{host}:{port}/healthz")
-            assert status == 200
-            assert body["combined_epoch"] == 7
-            assert body["wal_lag"] == 3
-        finally:
-            instance.shutdown()
-            instance.server_close()
-            thread.join(timeout=5)
+    def _follow(self, tmp_path):
+        """A :class:`Writer` over a saved index and a
+        :meth:`QueryService.follow` service over its files."""
+        index_path = tmp_path / "idx.bin"
+        store = TripleStore.from_triples([(i, 0, i + 1) for i in range(9)])
+        save_index(build_index(store, "2tp"), index_path, aligned=True)
+        writer = Writer(index_path, tmp_path / "idx.wal",
+                        tmp_path / "idx.wal.epoch", mmap=True)
+        return writer, QueryService.follow(index_path,
+                                           tmp_path / "idx.wal.epoch")
 
-    def test_healthz_degrades_when_health_extra_fails(self):
-        dictionary, store = RdfDictionary.from_term_triples(TERM_TRIPLES)
-        service = QueryService(build_index(store, "2tp"),
-                               dictionary=dictionary)
+    def test_healthz_reports_follower_fields(self, tmp_path):
+        writer, service = self._follow(tmp_path)
+        try:
+            writer.update(inserts=[(50, 7, 51)])
+            body = service.health()
+            assert body["status"] == "ok"
+            assert body["wal_lag"] == 1  # the write is not replayed yet
+            assert body["generation"] == 0
+            assert service.refresh()
+            body = service.health()
+            assert body["wal_lag"] == 0
+            assert body["combined_epoch"] == body["epoch"] == 1
+            assert body["num_triples"] == 10
+        finally:
+            service.close()
+            writer.close()
+
+    def test_healthz_degrades_when_a_follower_gauge_fails(self, tmp_path,
+                                                          monkeypatch):
+        writer, service = self._follow(tmp_path)
 
         def broken():
             raise RuntimeError("follower is wedged")
 
+        monkeypatch.setattr(service.index, "wal_lag", broken)
         instance = build_server(service, host="127.0.0.1", port=0,
-                                quiet=True, health_extra=broken)
+                                quiet=True)
         thread = threading.Thread(target=instance.serve_forever, daemon=True)
         thread.start()
         try:
@@ -128,6 +139,8 @@ class TestProbes:
             instance.shutdown()
             instance.server_close()
             thread.join(timeout=5)
+            service.close()
+            writer.close()
 
     def test_stats_shape(self, base_url):
         status, body = _get(base_url + "/stats")
@@ -390,6 +403,10 @@ def writable_url():
     instance.shutdown()
     instance.server_close()
     thread.join(timeout=5)
+
+
+def test_http_conformance_single_box(writable_url, http_conformance):
+    http_conformance(writable_url)
 
 
 class TestUpdateEndpoint:
