@@ -67,7 +67,7 @@ def _measurements():
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / f"{layout}.ridx"
             started = time.perf_counter()
-            index.save(path)
+            save_index(index, path)
             save_seconds = time.perf_counter() - started
             on_disk_bytes = path.stat().st_size
             load_seconds = _best_load(path)
@@ -156,7 +156,7 @@ def test_report_persistence(benchmark):
     def round_trip():
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "bench.ridx"
-            index.save(path)
+            save_index(index, path)
             return load_index(path).index.num_triples
 
     benchmark.pedantic(round_trip, rounds=3, iterations=1)
@@ -171,7 +171,7 @@ def test_loaded_index_answers_identically(layout):
     index = common.index_for(PROFILE, layout)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / f"{layout}.ridx"
-        index.save(path)
+        save_index(index, path)
         loaded = load_index(path).index
     for s, p, o in store.sample(25, seed=3):
         assert loaded.select_list((s, None, None)) == index.select_list((s, None, None))
@@ -185,7 +185,7 @@ def test_load_speed(benchmark, layout):
     index = common.index_for(PROFILE, layout)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / f"{layout}.ridx"
-        index.save(path)
+        save_index(index, path)
         benchmark(lambda: load_index(path).index)
 
 

@@ -23,9 +23,9 @@ The package is organised in layers:
 * :mod:`repro.bench` — measurement harness (bits/triple, ns/triple) and
   paper-style table rendering used by the ``benchmarks/`` suite.
 * :mod:`repro.storage` — persistence: a versioned, checksummed binary
-  container format with save/load for every codec, trie, index family and
-  dictionary, plus the write-ahead log behind dynamic updates, behind the
-  ``repro`` command-line interface (:mod:`repro.cli`).
+  container read and written by ``save_index``/``load_index`` (an index)
+  and ``save_object``/``load_object`` (a codec, trie or dictionary), plus
+  the write-ahead log behind dynamic updates and the ``repro`` CLI.
 * :mod:`repro.dynamic` — dynamic updates over the static indexes: a
   WAL-backed delta store (inserts + tombstones), the
   :class:`~repro.dynamic.DynamicIndex` merged overlay both query engines

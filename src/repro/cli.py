@@ -127,6 +127,7 @@ def _command_build(args: argparse.Namespace) -> int:
     from repro.rdf.dictionary import RdfDictionary
     from repro.rdf.ntriples import parse_ntriples_file, term_triples_to_keys
     from repro.rdf.triples import TripleStore
+    from repro.storage import save_index
 
     started = time.perf_counter()
     if args.ids:
@@ -147,7 +148,7 @@ def _command_build(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     planner_stats = (None if args.no_stats
                      else QueryPlanner.cardinalities_from_store(store))
-    written = index.save(args.output, dictionary=dictionary,
+    written = save_index(index, args.output, dictionary=dictionary,
                          planner_stats=planner_stats, aligned=args.align)
     save_seconds = time.perf_counter() - started
 

@@ -43,7 +43,7 @@ from repro.core import build_index
 from repro.errors import ClusterError, StorageError
 from repro.queries.planner import QueryPlanner
 from repro.rdf.triples import TripleStore
-from repro.storage.container import read_container, write_container
+from repro.storage.container import atomic_write, read_container, write_container
 from repro.storage.index_io import (
     SECTION_DICTIONARY,
     SECTION_META,
@@ -108,8 +108,8 @@ def sign_manifest(manifest: dict, key: Optional[str] = None) -> str:
 def write_manifest(path, manifest: dict, key: Optional[str] = None) -> None:
     document = {"manifest": manifest,
                 "signature": sign_manifest(manifest, key)}
-    Path(path).write_text(json.dumps(document, indent=2) + "\n",
-                          encoding="utf-8")
+    with atomic_write(path) as handle:
+        handle.write((json.dumps(document, indent=2) + "\n").encode("utf-8"))
 
 
 def read_manifest(path, key: Optional[str] = None) -> dict:
@@ -119,6 +119,8 @@ def read_manifest(path, key: Optional[str] = None) -> dict:
         document = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, ValueError) as exc:
         raise ClusterError(f"cannot read manifest {path}: {exc}") from exc
+    if not isinstance(document, dict):
+        raise ClusterError(f"{path}: not a shard manifest")
     manifest = document.get("manifest")
     signature = document.get("signature")
     if not isinstance(manifest, dict) or not isinstance(signature, str):

@@ -95,53 +95,6 @@ class TripleIndex(ABC):
         """Per-component space in bits (overridden by concrete indexes)."""
         return {"total": self.size_in_bits()}
 
-    # ------------------------------------------------------------------ #
-    # Persistence.
-    # ------------------------------------------------------------------ #
-
-    def save(self, path, dictionary=None, planner_stats=None,
-             aligned: bool = False) -> int:
-        """Persist this index (plus an optional RDF dictionary) to ``path``.
-
-        The file is a versioned, checksummed container readable by
-        :func:`repro.storage.load_index` and the ``repro`` CLI.  Only the
-        paper's index families are persistable; the educational baselines
-        raise :class:`repro.errors.StorageError`.  ``planner_stats`` are the
-        query planner's per-role cardinality histograms (see
-        ``QueryPlanner.cardinalities_from_store``); bundling them lets a
-        loaded index plan as well as a freshly built one.  ``aligned=True``
-        writes the v3 container (64-byte aligned sections) so the file can
-        later be opened with ``load_index(path, mmap=True)``.
-        """
-        from repro.storage import save_index
-        return save_index(self, path, dictionary=dictionary,
-                          planner_stats=planner_stats, aligned=aligned)
-
-    @classmethod
-    def load(cls, path) -> "TripleIndex":
-        """Load the index stored in ``path`` (dictionary, if any, is dropped).
-
-        Called on a concrete class (``TwoTrieIndex.load(path)``) it verifies
-        the stored layout matches; called on :class:`TripleIndex` it accepts
-        any layout.  Use :func:`repro.storage.load_index` to also recover the
-        bundled dictionary.  A file carrying a dynamic-update delta is
-        refused — returning the bare base would silently resurrect deleted
-        triples and drop inserted ones; such files go through
-        ``load_index(path).queryable()`` (or ``repro compact``) instead.
-        """
-        from repro.errors import StorageError
-        from repro.storage import load_index
-        loaded = load_index(path, load_dictionary=False)
-        if loaded.delta is not None:
-            raise StorageError(
-                f"{path}: carries an uncompacted update delta; load it with "
-                f"repro.storage.load_index(path).queryable() or fold it in "
-                f"with 'repro compact' first")
-        if not isinstance(loaded.index, cls):
-            raise StorageError(f"{path}: holds a {type(loaded.index).__name__}, "
-                               f"expected {cls.__name__}")
-        return loaded.index
-
     def supported_kinds(self) -> Tuple[str, ...]:
         """Pattern kinds natively supported (all eight unless overridden)."""
         return ("spo", "sp?", "s??", "?po", "?p?", "??o", "s?o", "???")

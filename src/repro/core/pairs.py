@@ -95,21 +95,6 @@ class PairStructure:
         return self._values.find_in_range(begin, end, second) != NOT_FOUND
 
     # ------------------------------------------------------------------ #
-    # Persistence.
-    # ------------------------------------------------------------------ #
-
-    def save(self, path) -> int:
-        """Persist this pair structure to ``path``; returns bytes written."""
-        from repro.storage import save_object
-        return save_object(self, path)
-
-    @classmethod
-    def load(cls, path) -> "PairStructure":
-        """Load a pair structure saved with :meth:`save`."""
-        from repro.storage import load_object
-        return load_object(path, expected_type=cls)
-
-    # ------------------------------------------------------------------ #
     # Space accounting.
     # ------------------------------------------------------------------ #
 

@@ -624,21 +624,6 @@ class PermutationTrie:
         return range(begin, end)
 
     # ------------------------------------------------------------------ #
-    # Persistence.
-    # ------------------------------------------------------------------ #
-
-    def save(self, path) -> int:
-        """Persist this trie (all levels and pointers) to ``path``."""
-        from repro.storage import save_object
-        return save_object(self, path)
-
-    @classmethod
-    def load(cls, path) -> "PermutationTrie":
-        """Load a trie saved with :meth:`save`; nothing is rebuilt from values."""
-        from repro.storage import load_object
-        return load_object(path, expected_type=cls)
-
-    # ------------------------------------------------------------------ #
     # Space accounting and statistics.
     # ------------------------------------------------------------------ #
 

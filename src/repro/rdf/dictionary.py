@@ -88,17 +88,6 @@ class Dictionary:
         self._ids[term] = identifier
         return identifier
 
-    def save(self, path) -> int:
-        """Persist this dictionary to ``path``; returns bytes written."""
-        from repro.storage import save_object
-        return save_object(self, path)
-
-    @classmethod
-    def load(cls, path) -> "Dictionary":
-        """Load a dictionary saved with :meth:`save`."""
-        from repro.storage import load_object
-        return load_object(path, expected_type=cls)
-
     def __len__(self) -> int:
         return len(self._terms)
 
@@ -289,22 +278,6 @@ class RdfDictionary:
             else:
                 parts.append(f"<id:{value}>")
         return tuple(parts)
-
-    def save(self, path) -> int:
-        """Persist the role dictionaries (and numeric index) to ``path``."""
-        from repro.storage import save_object
-        return save_object(self, path)
-
-    @classmethod
-    def load(cls, path) -> "RdfDictionary":
-        """Load a dictionary bundle saved with :meth:`save`.
-
-        The subject/object sharing of :meth:`from_term_triples` is preserved:
-        if the saved bundle shared one resource dictionary, the loaded one
-        does too.
-        """
-        from repro.storage import load_object
-        return load_object(path, expected_type=cls)
 
     def size_summary(self) -> Dict[str, int]:
         """Number of terms per role (excluded from bits/triple accounting)."""

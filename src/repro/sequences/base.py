@@ -220,31 +220,6 @@ class EncodedSequence(ABC):
         return self.size_in_bits() / n
 
     # ------------------------------------------------------------------ #
-    # Persistence.
-    # ------------------------------------------------------------------ #
-
-    def save(self, path) -> int:
-        """Persist this sequence to ``path``; returns the bytes written.
-
-        The file is a versioned, checksummed container (see
-        :mod:`repro.storage`); loading it rebuilds the codec from the stored
-        words without re-encoding anything.
-        """
-        from repro.storage import save_object
-        return save_object(self, path)
-
-    @classmethod
-    def load(cls, path) -> "EncodedSequence":
-        """Load a sequence saved with :meth:`save`.
-
-        Called on a concrete codec class (``EliasFano.load(path)``) it
-        verifies the stored codec matches; called on
-        :class:`EncodedSequence` it accepts any codec.
-        """
-        from repro.storage import load_object
-        return load_object(path, expected_type=cls)
-
-    # ------------------------------------------------------------------ #
     # Construction helpers.
     # ------------------------------------------------------------------ #
 

@@ -304,25 +304,6 @@ class BitVector:
                 word ^= lsb
 
     # ------------------------------------------------------------------ #
-    # Persistence.
-    # ------------------------------------------------------------------ #
-
-    def save(self, path) -> int:
-        """Persist this bit vector to ``path``; returns the bytes written."""
-        from repro.storage import save_object
-        return save_object(self, path)
-
-    @classmethod
-    def load(cls, path) -> "BitVector":
-        """Load a bit vector saved with :meth:`save`.
-
-        The rank acceleration state is rebuilt directly from the stored
-        words; the payload itself is never re-encoded.
-        """
-        from repro.storage import load_object
-        return load_object(path, expected_type=cls)
-
-    # ------------------------------------------------------------------ #
     # Space accounting.
     # ------------------------------------------------------------------ #
 

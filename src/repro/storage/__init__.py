@@ -8,6 +8,8 @@ Public surface:
 * :func:`save_object` / :func:`load_object` — standalone structures (any
   sequence codec, a bit vector, one permutation trie, a dictionary);
 * :func:`file_info` — cheap inspection of a saved file;
+* :func:`atomic_write` — crash-safe whole-file replacement, behind every
+  container and the cluster manifest;
 * :class:`WriteAheadLog` (:mod:`repro.storage.wal`) — the durable update
   log behind the dynamic subsystem — and :class:`WalReader`, its
   read-only incremental follower used by the pre-fork serving pool;
@@ -26,6 +28,7 @@ from repro.storage.container import (
     FORMAT_VERSION,
     MAGIC,
     SUPPORTED_VERSIONS,
+    atomic_write,
     container_version,
     parse_container,
     read_container,
@@ -49,6 +52,7 @@ __all__ = [
     "SUPPORTED_VERSIONS",
     "WalReader",
     "WriteAheadLog",
+    "atomic_write",
     "container_version",
     "LoadedIndex",
     "dumps_object",

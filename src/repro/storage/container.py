@@ -27,8 +27,9 @@ from __future__ import annotations
 import os
 import struct
 import zlib
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Dict, List, Mapping, Optional, Tuple, Union
+from typing import BinaryIO, Dict, Iterator, List, Mapping, Optional, Tuple, Union
 
 from repro.errors import StorageError
 
@@ -91,6 +92,34 @@ def fsync_directory(directory: PathLike) -> None:
         os.close(fd)
 
 
+@contextmanager
+def atomic_write(path: PathLike) -> Iterator[BinaryIO]:
+    """Yield a binary handle whose bytes replace ``path`` all at once.
+
+    The bytes go to a sibling ``.tmp`` file, which is removed if anything
+    fails.  Contents must be durable *before* the rename makes them the
+    live file — otherwise a power loss can leave the destination pointing
+    at unwritten pages.  The directory sync after the rename makes the new
+    name itself durable; callers that truncate a WAL on the strength of
+    this write depend on both.
+    """
+    destination = Path(path)
+    temporary = destination.with_name(destination.name + ".tmp")
+    try:
+        with open(temporary, "wb") as handle:
+            yield handle
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(temporary, destination)
+        fsync_directory(destination.parent)
+    except BaseException:
+        try:
+            os.unlink(temporary)
+        except OSError:
+            pass
+        raise
+
+
 def write_container(path: PathLike, sections: Mapping[str, bytes],
                     version: Optional[int] = None) -> int:
     """Write ``sections`` to ``path``; returns the total number of bytes written.
@@ -136,33 +165,15 @@ def write_container(path: PathLike, sections: Mapping[str, bytes],
         offsets.append(offset)
         offset = _align(offset + len(payload))
 
-    destination = Path(path)
-    temporary = destination.with_name(destination.name + ".tmp")
-    try:
-        with open(temporary, "wb") as handle:
-            handle.write(header)
-            handle.write(_CRC.pack(_crc32(bytes(header))))
-            position = payload_start
-            for (_, payload), aligned_offset in zip(encoded_names, offsets):
-                if aligned_offset > position:
-                    handle.write(b"\x00" * (aligned_offset - position))
-                handle.write(payload)
-                position = aligned_offset + len(payload)
-            # Contents must be durable *before* the rename makes them the
-            # live file — otherwise a power loss can leave the destination
-            # pointing at unwritten pages.  The directory sync after the
-            # rename makes the new name itself durable; callers that
-            # truncate a WAL on the strength of this write depend on both.
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(temporary, destination)
-        fsync_directory(destination.parent)
-    except OSError:
-        try:
-            os.unlink(temporary)
-        except OSError:
-            pass
-        raise
+    with atomic_write(path) as handle:
+        handle.write(header)
+        handle.write(_CRC.pack(_crc32(bytes(header))))
+        position = payload_start
+        for (_, payload), aligned_offset in zip(encoded_names, offsets):
+            if aligned_offset > position:
+                handle.write(b"\x00" * (aligned_offset - position))
+            handle.write(payload)
+            position = aligned_offset + len(payload)
     return position
 
 

@@ -17,10 +17,10 @@ up to five sections:
   advertise :data:`repro.storage.container.DELTA_FORMAT_VERSION` so builds
   that would silently drop the delta refuse the file instead.
 
-Standalone object files (a codec saved with ``sequence.save(path)``, a trie,
-a dictionary) use the same container with ``meta`` + ``payload`` sections, so
-every file produced by this package carries the same magic, version and
-checksum protection.
+Standalone object files (a codec, trie or dictionary written by
+:func:`save_object` and read by :func:`load_object`) use the same container
+with ``meta`` + ``payload`` sections, so every file produced by this package
+carries the same magic, version and checksum protection.
 """
 
 from __future__ import annotations
@@ -257,8 +257,8 @@ def save_object(obj: Any, path: PathLike) -> int:
 def load_object(path: PathLike, expected_type: Optional[Type] = None) -> Any:
     """Load an object file written by :func:`save_object`.
 
-    ``expected_type`` lets typed ``load`` classmethods reject files holding a
-    different structure with a clear error instead of an attribute crash.
+    ``expected_type`` rejects a file holding a different structure with a
+    clear error instead of an attribute crash later on.
     """
     sections = read_container(path)
     _load_meta(sections, str(path))

@@ -11,6 +11,7 @@ framing without subprocess management.
 """
 
 import json
+import os
 import threading
 import urllib.error
 import urllib.request
@@ -178,6 +179,39 @@ class TestPartitioner:
         manifest_path.write_text(json.dumps(document))
         with pytest.raises(ClusterError):
             read_manifest(manifest_path)
+
+    @pytest.mark.parametrize("text", ["[]", '"x"', "1", "null"])
+    def test_manifest_that_is_not_an_object_is_rejected(self, tmp_path, text):
+        path = tmp_path / MANIFEST_NAME
+        path.write_text(text)
+        with pytest.raises(ClusterError, match="not a shard manifest"):
+            read_manifest(path)
+
+    def test_manifest_rewrite_replaces_the_file(self, source_container,
+                                                tmp_path):
+        manifest = build_cluster(source_container, tmp_path / "c", 2)
+        path = tmp_path / "c" / MANIFEST_NAME
+        before = path.stat().st_ino
+        write_manifest(path, manifest)
+        # A new inode: the file was swapped in whole, never rewritten in place.
+        assert path.stat().st_ino != before
+        assert list(path.parent.glob("*.tmp")) == []
+        assert read_manifest(path) == manifest
+
+    def test_failed_manifest_rewrite_keeps_the_previous_one(
+            self, source_container, tmp_path, monkeypatch):
+        manifest = build_cluster(source_container, tmp_path / "c", 2)
+        path = tmp_path / "c" / MANIFEST_NAME
+
+        def crash(*args, **kwargs):
+            raise OSError("crashed before the rename")
+
+        monkeypatch.setattr(os, "replace", crash)
+        with pytest.raises(OSError, match="crashed before the rename"):
+            write_manifest(path, dict(manifest, num_shards=3))
+        monkeypatch.undo()
+        assert read_manifest(path)["num_shards"] == 2
+        assert list(path.parent.glob("*.tmp")) == []
 
     def test_manifest_wrong_key_rejected(self, source_container, tmp_path):
         build_cluster(source_container, tmp_path / "c", 2, key="secret-a")

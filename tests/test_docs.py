@@ -60,3 +60,12 @@ def test_dotted_references_resolve(name):
             target = getattr(target, attribute)
         return
     pytest.fail(f"{name}: no importable prefix")
+
+
+def test_readme_python_example_runs(tmp_path, monkeypatch, capsys):
+    """The README's "From Python:" example is self-contained: run it."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    snippet = _SNIPPET.search(text, text.index("From Python:")).group(1)
+    monkeypatch.chdir(tmp_path)
+    exec(compile(snippet, "README.md", "exec"), {})
+    assert capsys.readouterr().out == "[(0, 0, 2), (0, 1, 0)]\n"

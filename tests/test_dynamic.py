@@ -32,7 +32,8 @@ from repro.queries.sparql import (
     TriplePatternTemplate,
 )
 from repro.rdf.triples import TripleStore
-from repro.storage import file_info, load_index
+from repro.storage import (file_info, load_index, load_object, save_index,
+                           save_object)
 from repro.storage.wal import WriteAheadLog
 
 LAYOUTS = ("3t", "cc", "2tp", "2to")
@@ -424,7 +425,7 @@ class TestCrashRecovery:
         """Acceptance: acknowledged inserts survive a hard process kill."""
         store = build_store()
         index_path = tmp_path / "base.ridx"
-        IndexBuilder(store).build("2tp").save(index_path)
+        save_index(IndexBuilder(store).build("2tp"), index_path)
         wal_path = tmp_path / "crash.wal"
         env = dict(os.environ)
         src = str(Path(__file__).resolve().parent.parent / "src")
@@ -481,7 +482,7 @@ class TestDeltaPersistence:
 
     def test_queryable_without_delta_is_the_bare_index(self, tmp_path):
         path = tmp_path / "plain.ridx"
-        IndexBuilder(build_store()).build("2tp").save(path)
+        save_index(IndexBuilder(build_store()).build("2tp"), path)
         loaded = load_index(path)
         assert loaded.queryable() is loaded.index
         assert isinstance(loaded.queryable(writable=True), DynamicIndex)
@@ -509,8 +510,8 @@ class TestDictionaryGrowth:
         dictionary = Dictionary(["b", "c"])
         dictionary.add("a")
         path = tmp_path / "dict.bin"
-        dictionary.save(path)
-        restored = Dictionary.load(path)
+        save_object(dictionary, path)
+        restored = load_object(path, expected_type=Dictionary)
         assert restored.terms() == ["b", "c", "a"]
         assert restored.id_of("a") == 2
         assert restored.prefix_range("b") == (0, 1)
@@ -522,16 +523,6 @@ class TestDictionaryGrowth:
         s, p, o = dictionary.encode_or_add("<new>", "<p2>", "<new>")
         assert s == o  # shared resource dictionary: same entity, same ID
         assert dictionary.decode((s, p, o)) == ("<new>", "<p2>", "<new>")
-
-    def test_typed_load_refuses_delta_files(self, tmp_path):
-        from repro.core.index_2t import TwoTrieIndex
-        path = tmp_path / "dyn.ridx"
-        dyn = DynamicIndex(IndexBuilder(build_store()).build("2tp"))
-        dyn.insert([(9, 0, 9)])
-        dyn.save(path)
-        # Returning the bare base would silently drop the insert.
-        with pytest.raises(StorageError, match="uncompacted update delta"):
-            TwoTrieIndex.load(path)
 
 
 class TestReviewRegressions:
@@ -649,8 +640,8 @@ class TestDictionaryPrefixRunConsistency:
         assert dictionary.add("z") == 4       # after a freeze, stays frozen
         live = {p: dictionary.prefix_range(p) for p in ("a", "aa", "c", "z")}
         path = tmp_path / "dict.bin"
-        dictionary.save(path)
-        restored = Dictionary.load(path)
+        save_object(dictionary, path)
+        restored = load_object(path, expected_type=Dictionary)
         for prefix, expected in live.items():
             assert restored.prefix_range(prefix) == expected, prefix
 

@@ -28,12 +28,6 @@ RANK["__init__"] = RANK["__main__"] = RANK["cli"]
 
 #: (importing file, target package) pairs that still import upward.
 ALLOWED = {
-    ("core/base.py", "storage"),
-    ("core/pairs.py", "storage"),
-    ("core/trie.py", "storage"),
-    ("sequences/base.py", "storage"),
-    ("sequences/bitvector.py", "storage"),
-    ("rdf/dictionary.py", "storage"),
     ("dynamic/index.py", "queries"),
     ("storage/index_io.py", "dynamic"),
     ("queries/logs.py", "datasets"),

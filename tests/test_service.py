@@ -17,6 +17,7 @@ from repro.queries.planner import execute_bgp
 from repro.queries.sparql import BasicGraphPattern, TriplePatternTemplate, parse_sparql
 from repro.rdf.triples import TripleStore
 from repro.service import LRUCache, QueryService, normalize_bgp
+from repro.storage import save_index
 
 KNOWS, WORKS_FOR, LIKES = 0, 1, 2
 NUM_PEOPLE = 24
@@ -250,7 +251,7 @@ class TestFromFile:
         dictionary, store = RdfDictionary.from_term_triples(term_triples)
         index = build_index(store, "2tp")
         path = tmp_path / "graph.ridx"
-        index.save(path, dictionary=dictionary,
+        save_index(index, path, dictionary=dictionary,
                    planner_stats=QueryPlanner.cardinalities_from_store(store))
 
         service = QueryService.from_file(path)
@@ -432,7 +433,7 @@ class TestUpdates:
     def test_from_file_writable_round_trip(self, store, cardinalities,
                                            tmp_path):
         path = tmp_path / "dyn.ridx"
-        build_index(store, "2tp").save(path)
+        save_index(build_index(store, "2tp"), path)
         wal = tmp_path / "dyn.wal"
         service = QueryService.from_file(path, writable=True, wal_path=wal)
         service.insert([(920, KNOWS, 921)])
@@ -451,7 +452,7 @@ class TestUpdates:
         from repro.storage import file_info
 
         path = tmp_path / "dyn.ridx"
-        build_index(store, "2tp").save(path)
+        save_index(build_index(store, "2tp"), path)
         wal = tmp_path / "dyn.wal"
         service = QueryService.from_file(path, writable=True, wal_path=wal)
         service.insert([(930, KNOWS, 931)])
@@ -477,7 +478,7 @@ class TestUpdates:
     def test_failed_compaction_persist_does_not_fail_the_request(
             self, store, cardinalities, tmp_path, monkeypatch):
         path = tmp_path / "dyn.ridx"
-        build_index(store, "2tp").save(path)
+        save_index(build_index(store, "2tp"), path)
         wal = tmp_path / "dyn.wal"
         service = QueryService.from_file(path, writable=True, wal_path=wal)
         service.insert([(940, KNOWS, 941)])

@@ -226,32 +226,33 @@ class TestCodecRoundTrips:
         values = sorted([1, 1, 5, 9, 20, 21, 300, 301, 302, 9000])
         original = codec_class.from_values(values)
         path = tmp_path / "seq.bin"
-        written = original.save(path)
+        written = save_object(original, path)
         assert written == path.stat().st_size
-        loaded = codec_class.load(path)
+        loaded = load_object(path, expected_type=codec_class)
         _assert_sequence_equal(loaded, original, values)
-        # The untyped base-class load accepts any codec.
-        assert EncodedSequence.load(path).to_list() == values
+        # The base class as expected type accepts any codec.
+        assert load_object(path, expected_type=EncodedSequence).to_list() == values
 
     def test_typed_load_rejects_other_codec(self, tmp_path):
         path = tmp_path / "seq.bin"
-        CompactVector.from_values([1, 2, 3]).save(path)
+        save_object(CompactVector.from_values([1, 2, 3]), path)
         with pytest.raises(StorageError, match="holds a CompactVector"):
-            EliasFano.load(path)
+            load_object(path, expected_type=EliasFano)
 
     def test_bitvector_file_round_trip(self, tmp_path):
         original = BitVector.from_positions(100, [0, 3, 64, 65, 99])
         path = tmp_path / "bv.bin"
-        original.save(path)
-        loaded = BitVector.load(path)
+        save_object(original, path)
+        loaded = load_object(path, expected_type=BitVector)
         assert loaded.to_list() == original.to_list()
 
     def test_save_load_save_is_byte_identical(self, tmp_path):
         """Determinism: a loaded structure re-saves to the identical file."""
         first = tmp_path / "a.bin"
         second = tmp_path / "b.bin"
-        PartitionedEliasFano.from_values(list(range(0, 4000, 3))).save(first)
-        PartitionedEliasFano.load(first).save(second)
+        save_object(PartitionedEliasFano.from_values(list(range(0, 4000, 3))),
+                    first)
+        save_object(load_object(first), second)
         assert first.read_bytes() == second.read_bytes()
 
     def test_unregistered_type_raises(self):
@@ -267,8 +268,8 @@ class TestTrieRoundTrip:
     def test_trie_file_round_trip(self, builder, tmp_path):
         original = builder.build_trie("spo")
         path = tmp_path / "trie.bin"
-        original.save(path)
-        loaded = PermutationTrie.load(path)
+        save_object(original, path)
+        loaded = load_object(path, expected_type=PermutationTrie)
         assert loaded.permutation_name == original.permutation_name
         assert loaded.num_triples == original.num_triples
         assert loaded.num_pairs == original.num_pairs
@@ -280,8 +281,8 @@ class TestTrieRoundTrip:
     def test_pair_structure_round_trip(self, builder, tmp_path):
         original = builder.build_ps_structure()
         path = tmp_path / "ps.bin"
-        original.save(path)
-        loaded = PairStructure.load(path)
+        save_object(original, path)
+        loaded = load_object(path, expected_type=PairStructure)
         assert loaded.num_pairs == original.num_pairs
         for first in range(0, original.num_first, 3):
             assert list(loaded.values_of(first)) == list(original.values_of(first))
@@ -306,7 +307,7 @@ class TestIndexRoundTrips:
     def test_layout_round_trip(self, all_indexes, reference_triples, tmp_path, layout):
         original = all_indexes[layout]
         path = tmp_path / f"{layout}.ridx"
-        original.save(path)
+        save_index(original, path)
         loaded = load_index(path)
         assert type(loaded.index) is type(original)
         assert loaded.dictionary is None
@@ -326,7 +327,7 @@ class TestIndexRoundTrips:
         configs = {name: config for name in ("spo", "pos", "osp", "ops")}
         original = IndexBuilder(store, trie_configs=configs).build("3t")
         path = tmp_path / "cfg.ridx"
-        original.save(path)
+        save_index(original, path)
         loaded = load_index(path).index
         trie = loaded.trie("spo")
         assert trie.config.level1_nodes == level1
@@ -353,11 +354,11 @@ class TestIndexRoundTrips:
     def test_baseline_indexes_are_not_persistable(self, small_store, tmp_path):
         baseline = HdtFoqIndex(small_store)
         with pytest.raises(StorageError, match="no serializer registered"):
-            baseline.save(tmp_path / "baseline.ridx")
+            save_index(baseline, tmp_path / "baseline.ridx")
 
     def test_load_object_rejects_index_file(self, all_indexes, tmp_path):
         path = tmp_path / "i.ridx"
-        all_indexes["2tp"].save(path)
+        save_index(all_indexes["2tp"], path)
         with pytest.raises(StorageError, match="missing 'payload' section"):
             load_object(path)
 
@@ -367,18 +368,9 @@ class TestIndexRoundTrips:
         with pytest.raises(StorageError, match="missing 'index' section"):
             load_index(path)
 
-    def test_typed_index_load_checks_layout(self, all_indexes, tmp_path):
-        from repro.core.index_2t import TwoTrieIndex
-        from repro.core.index_3t import PermutedTrieIndex
-        path = tmp_path / "i.ridx"
-        all_indexes["2tp"].save(path)
-        assert isinstance(TwoTrieIndex.load(path), TwoTrieIndex)
-        with pytest.raises(StorageError, match="expected PermutedTrieIndex"):
-            PermutedTrieIndex.load(path)
-
     def test_file_info(self, all_indexes, tmp_path):
         path = tmp_path / "i.ridx"
-        all_indexes["2tp"].save(path)
+        save_index(all_indexes["2tp"], path)
         info = file_info(path)
         assert info["meta"]["layout"] == "2tp"
         assert info["total_bytes"] == path.stat().st_size
@@ -393,8 +385,8 @@ class TestDictionaryRoundTrips:
     def test_dictionary_round_trip(self, tmp_path):
         original = Dictionary.from_terms(["b", "a", "c", "a", "z\nnewline"])
         path = tmp_path / "dict.bin"
-        original.save(path)
-        loaded = Dictionary.load(path)
+        save_object(original, path)
+        loaded = load_object(path, expected_type=Dictionary)
         assert loaded.terms() == original.terms()
         for term in original.terms():
             assert loaded.id_of(term) == original.id_of(term)
@@ -407,8 +399,8 @@ class TestDictionaryRoundTrips:
         original, store = RdfDictionary.from_term_triples(term_triples)
         assert original.subjects is original.objects
         path = tmp_path / "rdfdict.bin"
-        original.save(path)
-        loaded = RdfDictionary.load(path)
+        save_object(original, path)
+        loaded = load_object(path, expected_type=RdfDictionary)
         assert loaded.subjects is loaded.objects
         for triple in store:
             assert loaded.decode(triple) == original.decode(triple)
